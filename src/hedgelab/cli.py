@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and all-PASS for verify/matrix-check), 1 when any
-verification check fails or a matrix file is invalid, 2 on usage or
-configuration errors.
+verification check fails or matrix-check finds the file invalid, 2 on usage
+or configuration errors. Any other command given bad input, such as action
+counts below 2 or a missing or malformed --matrix-file, prints one
+"error: ..." line and exits 2.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InvalidGammaError, MatrixFormatError
+from .errors import ConfigError, MatrixFormatError
 from .game import load_matrix_file
 from .harness import (
     build_config,
@@ -155,7 +157,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, InvalidGammaError) as exc:
+    # Every hedgelab.errors class is a ValueError; OSError covers unreadable files.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,16 +2,20 @@
 
 In the transformed coordinates each per-player bound is a posynomial, so in
 log coordinates z = (log a_x, log a_y, log s_x, log s_y) it is a sum of
-exponentials of affine functions: smooth, convex, with termwise gradients.
-The solver is projected gradient descent with a backtracking line search;
-max-type objectives are handled by log-sum-exp smoothing with a sharpening
-continuation schedule followed by an exact-max readout.
+exponentials of affine functions: smooth and strictly convex, with gradient
+E^T t and Hessian E^T diag(t) E for exponent rows E and terms t. Every solve
+is the same projected damped-Newton routine on such a table, in a box of
+half-width BOX. A weighted sum of posynomials is again a posynomial, so the
+"social" and "weighted" objectives are one Newton solve each. The min-max
+objective bisects on the weight: by Sion's minimax theorem min_z max(f_x,
+f_y) is the largest weighted minimum, and by Danskin's theorem the sign of
+f_x - f_y at a weighted optimum is the slope of that minimum in the weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +26,16 @@ from .rates import (
     TransformedParams,
     from_transformed,
 )
+
+# Half-width of the box that keeps every log coordinate finite.
+BOX = 12.0
+ARMIJO = 1e-4
+# Newton stops once the squared decrement falls to this fraction of the value.
+DECREMENT_TOL = 1e-15
+# The min-max bisection stops once the two surfaces agree to this relative gap.
+BALANCE_TOL = 1e-12
+# Mirrors the roles of the players: (a_x, a_y, s_x, s_y) -> (a_y, a_x, s_y, s_x).
+_MIRROR = [1, 0, 3, 2]
 
 
 def _x_bound_terms(b: BoundInputs):
@@ -48,7 +62,7 @@ def _x_bound_terms(b: BoundInputs):
 def _y_bound_terms(b: BoundInputs):
     """The y-player bound is the x-player bound with the roles mirrored."""
     coefs, expos = _x_bound_terms(BoundInputs(b.log_n, b.log_m))
-    return coefs, expos[:, [1, 0, 3, 2]]
+    return coefs, expos[:, _MIRROR]
 
 
 def _social_terms(b: BoundInputs):
@@ -61,7 +75,7 @@ def _social_terms(b: BoundInputs):
 # Worst-case coefficient posynomials of the cardinality-unaware tradeoff:
 # the coefficients multiplying log m / log n inside each player's bound,
 # written in the same four transformed coordinates. All coefficients are 1.
-_COEF_TABLES = [
+_X_COEF_TABLES = [
     # on log m inside the x bound: (1 + a_x/s_y)(1/a_x + a_y + s_x)
     np.array(
         [
@@ -81,26 +95,9 @@ _COEF_TABLES = [
             [1.0, 0.0, 0.0, 0.0],
         ]
     ),
-    # on log m inside the y bound: (a_y/s_x)(1/a_x + a_y + s_x)
-    np.array(
-        [
-            [-1.0, 1.0, -1.0, 0.0],
-            [0.0, 2.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-        ]
-    ),
-    # on log n inside the y bound: (1 + a_y/s_x)(1/a_y + a_x + s_y)
-    np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0, 0.0],
-            [1.0, 1.0, -1.0, 0.0],
-            [0.0, 1.0, -1.0, 1.0],
-        ]
-    ),
 ]
+# On log m, then log n, inside the y bound: the x tables mirrored.
+_COEF_TABLES = _X_COEF_TABLES + [e[:, _MIRROR] for e in reversed(_X_COEF_TABLES)]
 
 
 def _eval_posy(coefs: np.ndarray, expos: np.ndarray, z: np.ndarray):
@@ -124,14 +121,8 @@ def eval_log_bounds(coords, b: BoundInputs):
 
 @dataclass(frozen=True)
 class OptimizeOptions:
+    # Bound on the Newton iterations of one solve, bisection steps included.
     max_iters: int = 20000
-    grad_tol: float = 1e-8
-    init_step: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
-    coord_bound: float = 12.0
-    # Sharpness schedule for smoothed max objectives.
-    rho_stages: tuple = (10.0, 316.22776601683796, 1e4)
 
 
 @dataclass(frozen=True)
@@ -145,157 +136,69 @@ class OptimizeResult:
     converged: bool
 
 
-def _descend(fun, z0: np.ndarray, opts: OptimizeOptions):
-    """Projected gradient descent with backtracking; keeps coords in a box.
+def _newton(coefs: np.ndarray, expos: np.ndarray, z0, budget: int):
+    """Projected damped Newton on one posynomial table, inside the box.
 
-    fun(z) -> (value, gradient). Returns (z, iterations, converged) where
-    converged means the projected gradient vanished at an interior point; a
-    stationary point pinned to the box reports converged=False.
+    A coordinate on the box whose gradient points outward is pinned; the
+    Newton system is solved on the free ones and the step is backtracked
+    until it meets the Armijo condition. Once the squared Newton decrement
+    -g.d falls to DECREMENT_TOL times the value, one last full step gives
+    quadratic accuracy. Returns (z, iterations, converged), where converged
+    means that stop was reached within the budget with no pinned coordinate.
     """
-    lo, hi = -opts.coord_bound, opts.coord_bound
-    z = np.clip(np.asarray(z0, dtype=np.float64), lo, hi)
-    val, grad = fun(z)
-    step = opts.init_step
-    iters = 0
-    stationary = False
-    for iters in range(1, opts.max_iters + 1):
-        proj_grad = z - np.clip(z - grad, lo, hi)
-        if float(np.linalg.norm(proj_grad)) <= opts.grad_tol:
-            stationary = True
-            break
-        step = min(step * 2.0, 1e6)
+    z = np.clip(np.asarray(z0, dtype=np.float64), -BOX, BOX)
+    for iters in range(1, budget + 1):
+        terms = coefs * np.exp(expos @ z)
+        value = float(terms.sum())
+        grad = expos.T @ terms
+        pinned = ((z <= -BOX) & (grad > 0.0)) | ((z >= BOX) & (grad < 0.0))
+        free = ~pinned
+        step = np.zeros_like(z)
+        hess = (expos.T * terms) @ expos
+        step[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+        if -float(grad @ step) <= DECREMENT_TOL * value:
+            return np.clip(z + step, -BOX, BOX), iters, not pinned.any()
+        t = 1.0
         while True:
-            z_new = np.clip(z - step * grad, lo, hi)
-            dz = z_new - z
-            val_new, grad_new = fun(z_new)
-            if val_new <= val + opts.armijo * float(grad @ dz):
+            z_new = np.clip(z + t * step, -BOX, BOX)
+            trial = float((coefs * np.exp(expos @ z_new)).sum())
+            if trial <= value + ARMIJO * float(grad @ (z_new - z)):
                 break
-            step *= opts.step_shrink
-            if step < 1e-18:
+            t *= 0.5
+            if t < 1e-18:
                 return z, iters, False
-        z, val, grad = z_new, val_new, grad_new
-    at_box = bool(np.any((z <= lo + 1e-12) | (z >= hi - 1e-12)))
-    return z, iters, stationary and not at_box
+        z = z_new
+    return z, budget, False
 
 
-def _smoothed_max(tables, rho: float):
-    """Log-sum-exp upper envelope of several posynomials, with gradient."""
-
-    def fun(z):
-        vals = []
-        grads = []
-        for coefs, expos in tables:
-            v, g = _eval_posy(coefs, expos, z)
-            vals.append(v)
-            grads.append(g)
-        vals = np.array(vals)
-        top = vals.max()
-        w = np.exp(rho * (vals - top))
-        wsum = w.sum()
-        value = top + math.log(wsum) / rho
-        grad = sum(wi * gi for wi, gi in zip(w, grads)) / wsum
-        return value, grad
-
-    return fun
+def _solve_weighted(x_table, y_table, gamma: float, z0, budget: int):
+    """Newton on gamma * f_x + (1 - gamma) * f_y, itself a posynomial."""
+    (cx, ex), (cy, ey) = x_table, y_table
+    coefs = np.concatenate([gamma * cx, (1.0 - gamma) * cy])
+    return _newton(coefs, np.vstack([ex, ey]), z0, budget)
 
 
-def _exact_max(tables, z):
-    return max(_eval_posy(coefs, expos, z)[0] for coefs, expos in tables)
+def _minimize_max(x_table, y_table, z0, budget: int):
+    """Minimize max(f_x, f_y) by bisection on the weight of f_x.
 
-
-def _min_norm_hull(grads: np.ndarray) -> np.ndarray:
-    """Minimum-norm point in the convex hull of a few gradient rows.
-
-    Exact subset enumeration; fine for the handful of surfaces we ever
-    stack. The norm of the result is the first-order residual of the
-    pointwise-max objective: it vanishes exactly at a minimizer.
+    Each step solves the weighted problem from the previous point, then
+    moves the weight toward the larger surface. Stops once the surfaces
+    balance to BALANCE_TOL or the weight bracket collapses.
+    Returns (z, iterations, converged) of the last weighted solve.
     """
-    k = grads.shape[0]
-    best = grads[0]
-    best_sq = float(grads[0] @ grads[0])
-    for mask in range(1, 1 << k):
-        idx = [i for i in range(k) if mask >> i & 1]
-        sub = grads[idx]
-        gram = sub @ sub.T
-        try:
-            lam = np.linalg.solve(gram, np.ones(len(idx)))
-        except np.linalg.LinAlgError:
-            continue
-        total = lam.sum()
-        if total <= 0.0 or np.any(lam / total < -1e-12):
-            continue
-        point = sub.T @ (lam / total)
-        sq = float(point @ point)
-        if sq < best_sq:
-            best_sq = sq
-            best = point
-    return best
-
-
-def _polish_max(tables, z0, budget: int, opts: OptimizeOptions):
-    """Descend the exact pointwise max along minimum-norm subgradients.
-
-    Smoothing gets near the kink where the surfaces cross; this finishes
-    the job on the unsmoothed max, where plain gradient descent stalls.
-    """
-    lo, hi = -opts.coord_bound, opts.coord_bound
-    z = np.clip(np.asarray(z0, dtype=np.float64), lo, hi)
-    step = opts.init_step
-    iters = 0
-    stationary = False
-    for iters in range(1, max(budget, 1) + 1):
-        evals = [_eval_posy(coefs, expos, z) for coefs, expos in tables]
-        top = max(v for v, _ in evals)
-        cut = top - 1e-9 * (1.0 + abs(top))
-        active = np.stack([g for v, g in evals if v >= cut])
-        p = _min_norm_hull(active)
-        p_sq = float(p @ p)
-        if math.sqrt(p_sq) <= opts.grad_tol * (1.0 + abs(top)):
-            stationary = True
-            break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step >= 1e-18:
-            z_new = np.clip(z - step * p, lo, hi)
-            if _exact_max(tables, z_new) <= top - opts.armijo * step * p_sq:
-                accepted = True
-                break
-            step *= opts.step_shrink
-        if not accepted:
-            # Line search hit float resolution; nothing further to gain.
-            break
-        z = np.clip(z - step * p, lo, hi)
-    at_box = bool(np.any((z <= lo + 1e-12) | (z >= hi - 1e-12)))
-    return z, iters, stationary and not at_box
-
-
-def _minimize_smoothed_max(tables, z0, opts: OptimizeOptions):
-    """Continuation over the sharpness schedule, then an exact-max polish.
-
-    Stages run to a tolerance that tracks the smoothing error (1/rho),
-    within a slice of the iteration budget; the polish consumes the rest
-    and owns the convergence verdict. Returns the best point seen.
-    """
-    z = np.asarray(z0, dtype=np.float64)
-    total_iters = 0
-    stage_cap = max(100, opts.max_iters // 10)
-    for rho in opts.rho_stages:
-        stage_opts = OptimizeOptions(
-            max_iters=min(stage_cap, opts.max_iters - total_iters),
-            grad_tol=max(opts.grad_tol, 1.0 / rho),
-            init_step=opts.init_step,
-            step_shrink=opts.step_shrink,
-            armijo=opts.armijo,
-            coord_bound=opts.coord_bound,
-            rho_stages=opts.rho_stages,
-        )
-        z, iters, _ = _descend(_smoothed_max(tables, rho), z, stage_opts)
-        total_iters += iters
-    z, iters, converged = _polish_max(
-        tables, z, opts.max_iters - total_iters, opts
-    )
-    total_iters += iters
-    return z, _exact_max(tables, z), total_iters, converged
+    lo, hi, gamma = 0.0, 1.0, 0.5
+    z, used = z0, 0
+    while True:
+        z, iters, converged = _solve_weighted(x_table, y_table, gamma, z, budget - used)
+        used += iters
+        fx = _eval_posy(*x_table, z)[0]
+        fy = _eval_posy(*y_table, z)[0]
+        if not converged or abs(fx - fy) <= BALANCE_TOL * max(fx, fy):
+            return z, used, converged
+        lo, hi = (gamma, hi) if fx > fy else (lo, gamma)
+        gamma = 0.5 * (lo + hi)
+        if gamma in (lo, hi):
+            return z, used, converged
 
 
 def _default_start(b: BoundInputs) -> np.ndarray:
@@ -329,9 +232,7 @@ def minimize(
 
     if objective == "social":
         coefs, expos = _social_terms(b)
-        z, iters, converged = _descend(
-            lambda z2: _eval_posy(coefs, expos, z2), z0[:2], opts
-        )
+        z, iters, converged = _newton(coefs, expos, z0[:2], opts.max_iters)
         point = TransformedParams(math.exp(z[0]), math.exp(z[1]), 0.0, 0.0)
         value = _eval_posy(coefs, expos, z)[0]
         return OptimizeResult(
@@ -347,20 +248,15 @@ def minimize(
     if objective == "weighted":
         if gamma is None or not (0.0 <= gamma <= 1.0):
             raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
-        cx, ex = _x_bound_terms(b)
-        cy, ey = _y_bound_terms(b)
-
-        def fun(z):
-            vx, gx = _eval_posy(cx, ex, z)
-            vy, gy = _eval_posy(cy, ey, z)
-            return gamma * vx + (1.0 - gamma) * vy, gamma * gx + (1.0 - gamma) * gy
-
-        z, iters, converged = _descend(fun, z0, opts)
+        z, iters, converged = _solve_weighted(
+            _x_bound_terms(b), _y_bound_terms(b), gamma, z0, opts.max_iters
+        )
         return _result_at(z, b, iters, converged, weight=gamma)
 
     if objective == "max":
-        tables = [_x_bound_terms(b), _y_bound_terms(b)]
-        z, _, iters, converged = _minimize_smoothed_max(tables, z0, opts)
+        z, iters, converged = _minimize_max(
+            _x_bound_terms(b), _y_bound_terms(b), z0, opts.max_iters
+        )
         return _result_at(z, b, iters, converged)
 
     raise ValueError(f"unknown objective {objective!r}")
@@ -394,13 +290,19 @@ def minimize_unaware_coefficients(options: OptimizeOptions | None = None):
     player's bound is at most (coefficient on log m) * log m +
     (coefficient on log n) * log n + O(1) at the returned point, and the
     worst coefficient is what this solves for. The optimum is 3*sqrt(3).
+
+    Mirroring the players maps the four tables onto each other, so by
+    convexity a minimizer with a_x = a_y and s_x = s_y exists. There the
+    y tables equal the x tables, and the problem is the min-max of the two
+    x tables over (log a, log s).
     """
     opts = options or OptimizeOptions()
-    tables = [(np.ones(e.shape[0]), e) for e in _COEF_TABLES]
-    z0 = np.zeros(4)
-    z, best_val, _, _ = _minimize_smoothed_max(tables, z0, opts)
-    point = TransformedParams(*(math.exp(v) for v in z))
-    return point, best_val
+    x_tables = [(np.ones(e.shape[0]), e[:, [0, 2]] + e[:, [1, 3]]) for e in _X_COEF_TABLES]
+    z, _, _ = _minimize_max(*x_tables, np.zeros(2), opts.max_iters)
+    coords = z[[0, 0, 1, 1]]
+    worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in _COEF_TABLES)
+    point = TransformedParams(*(math.exp(v) for v in coords))
+    return point, worst
 
 
 def gradient_check(coords, b: BoundInputs, step: float = 1e-5) -> float:

@@ -192,8 +192,9 @@ def test_c06_bound_chain():
                 math.sqrt(b.log_m * b.log_n_plus) + math.sqrt(b.log_m_plus * b.log_n)
             )
             mid = minimize("weighted", b, gamma=0.5).objective_value
-            top = minimize("max", b).objective_value
-            ok = ok and mid <= cap + 1e-9 and top <= 2.0 * mid + 1e-9
+            top_res = minimize("max", b)
+            top = top_res.objective_value
+            ok = ok and top_res.converged and mid <= cap + 1e-9 and top <= 2.0 * mid + 1e-9
             worst_mid = max(worst_mid, mid / cap)
             worst_max = max(worst_max, top / (2.0 * mid))
     _line(

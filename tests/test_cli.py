@@ -1,10 +1,13 @@
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hedgelab
 from hedgelab.cli import main
 
 
@@ -104,6 +107,30 @@ def test_sweep_gamma_cli_bad_grid(capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "A-Social", "--m", "1", "--n", "5"],
+        ["sweep-gamma", "--m", "1", "--n", "5"],
+        ["sweep-gamma", "--m", "0", "--n", "5"],
+    ],
+)
+def test_bad_action_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_simulate_missing_matrix_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    rc = main(
+        ["simulate", "--instance", "file", "--matrix-file", str(missing), "--out", str(tmp_path)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_matrix_check(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("2 2\n0 1\n-1 0\n")
@@ -116,10 +143,14 @@ def test_matrix_check(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # The child must import the same hedgelab, installed or not.
+    src = str(Path(hedgelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hedgelab", "rates", "A-Social", "--m", "2", "--n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "eta_x" in proc.stdout

@@ -15,6 +15,7 @@ from hedgelab import (
     minimize_unaware_coefficients,
 )
 from hedgelab.errors import DegenerateGameError, InvalidGammaError
+from hedgelab.harness import DEFAULT_GAMMA_GRID
 
 SQ3 = math.sqrt(3.0)
 UNIT = BoundInputs(1.0, 1.0)
@@ -140,6 +141,8 @@ def test_weighted_endpoints_clamp():
     for gamma in (0.0, 1.0):
         res = minimize("weighted", UNIT, gamma=gamma)
         assert not res.converged
+        # pinned coordinates stop the solve well inside the budget
+        assert res.iterations < OptimizeOptions().max_iters
 
 
 def test_max_objective_symmetric_sizes():
@@ -173,6 +176,15 @@ def test_unaware_coefficient_problem():
     rp = from_transformed(point)
     assert rp.eta_x == pytest.approx(1.0 / (2.0 * SQ3), abs=1e-5)
     assert rp.c_x == pytest.approx(0.5, abs=1e-5)
+    # kappa is the worst of the four coefficients at the returned point
+    ax, ay, sx, sy = point.a_x, point.a_y, point.s_x, point.s_y
+    coefficients = (
+        (1.0 + ax / sy) * (1.0 / ax + ay + sx),
+        (ax / sy) * (1.0 / ay + ax + sy),
+        (ay / sx) * (1.0 / ax + ay + sx),
+        (1.0 + ay / sx) * (1.0 / ay + ax + sy),
+    )
+    assert max(coefficients) <= kappa * (1.0 + 1e-12)
 
 
 def test_minimize_validation():
@@ -196,9 +208,20 @@ def test_monotone_tradeoff():
     g_star = []
     for gamma in grid:
         res = minimize("weighted", b, gamma=gamma)
+        assert res.converged
         f_star.append(res.x_bound)
         g_star.append(res.y_bound)
     for lo, hi in zip(f_star[1:], f_star[:-1]):
         assert lo <= hi + 1e-6
     for lo, hi in zip(g_star[:-1], g_star[1:]):
         assert lo <= hi + 1e-6
+
+
+def test_max_objective_beats_every_weighted_row():
+    # the min-max value lies below the worse bound at every weighted optimum
+    for m, n in [(10, 10), (100, 100), (2, 10000), (10000, 10000)]:
+        b = BoundInputs.from_actions(m, n)
+        top = minimize("max", b).objective_value
+        for gamma in DEFAULT_GAMMA_GRID:
+            res = minimize("weighted", b, gamma=gamma)
+            assert top <= max(res.x_bound, res.y_bound), (m, n, gamma)
