@@ -345,7 +345,9 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     checks = []
     for preset in cfg.presets:
         rp = preset_rates(preset, payoffs.m, payoffs.n)
-        rows, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, cfg.cadence)
+        # Only the averaged dynamic's gap checks read per-round rows.
+        cadence = cfg.cadence if cfg.algorithm == "averaged" else cfg.horizon
+        rows, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, cadence)
         report = meter.report()
         if cfg.algorithm == "hedge":
             target = PRESET_TARGETS[preset]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Protocol
 
 import numpy as np
@@ -15,6 +16,13 @@ from .errors import (
 # Reconstructed utilities carry float drift, so the range check leaves a hair
 # of slack above 1; a genuinely out-of-range entry like 1.5 still raises.
 UTILITY_SLACK = 1e-9
+
+# Shifted scores below this are played as weight exactly 0. e^-690 is below
+# half an ulp of the weight sum (>= 1), so dropping those terms leaves the sum,
+# and with it every kept entry, bit-identical; np.exp never sees an input whose
+# result is subnormal or near its slow band at -708; and every kept entry stays
+# a normal float after dividing by the sum for any dim up to 1e7.
+EXP_FLOOR = -690.0
 
 
 class Learner(Protocol):
@@ -39,6 +47,10 @@ class OptimisticHedge:
     utility standing in as a prediction of the upcoming one. Weights start
     all-ones, so the first strategy is uniform. rate == 0 plays the exact
     uniform strategy every round rather than a numerical limit.
+
+    Weights below e^EXP_FLOOR = e^-690 of the leader's are played as exactly
+    0: those actions would get probability below 2.9e-300, and every other
+    entry is the same bits as the plain softmax.
     """
 
     def __init__(self, dim: int, rate: float):
@@ -57,17 +69,24 @@ class OptimisticHedge:
         if self.rate == 0.0:
             return uniform_strategy(self.dim)
         scores = self.rate * (self.cum + self.last)
-        if not np.all(np.isfinite(scores)):
+        hi, lo = scores.max(), scores.min()  # both NaN if any score is
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonFiniteWeightError("non-finite exponential-weights score")
-        scores -= scores.max()  # keep every exponent <= 0
-        np.exp(scores, out=scores)
+        scores -= hi  # keep every exponent <= 0
+        if lo - hi < EXP_FLOOR:
+            live = scores >= EXP_FLOOR
+            np.maximum(scores, EXP_FLOOR, out=scores)
+            np.exp(scores, out=scores)
+            scores *= live
+        else:
+            np.exp(scores, out=scores)
         return scores / scores.sum()
 
     def observe(self, utilities) -> None:
         u = np.asarray(utilities, dtype=np.float64)
         if u.shape != (self.dim,):
             raise DimensionMismatchError(f"expected {self.dim} utilities, got shape {u.shape}")
-        if float(np.abs(u).max()) > 1.0 + UTILITY_SLACK:
+        if not float(np.abs(u).max()) <= 1.0 + UTILITY_SLACK:  # NaN fails too
             raise UtilityOutOfRangeError("utilities must lie in [-1, 1]")
         self.cum += u
         self.last = u

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hedgelab import OptimisticHedge, adversarial_matrix, play_match, regret_report
+from hedgelab.analysis import RegretMeter
 from hedgelab.errors import ConfigError, InvalidGammaError
 from hedgelab.harness import (
     METRIC_COLUMNS,
@@ -194,6 +195,24 @@ def test_verify_bounds_hedge(tmp_path):
     for line in report.lines():
         assert line.startswith("PASS ")
     assert (tmp_path / "verify_report.txt").read_text().count("PASS") == len(report.checks)
+
+
+def test_verify_bounds_hedge_takes_one_snapshot_per_match(tmp_path, monkeypatch):
+    # the hedge checks read only final regrets, so no per-round rows are built
+    calls = []
+    snapshot = RegretMeter.snapshot
+
+    def counting_snapshot(self, *args, **kwargs):
+        calls.append(self.rounds)
+        return snapshot(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
+    cfg = ExperimentConfig(
+        m=2, n=6, horizon=80, presets=("U-Social", "A-X-only"), out_dir=str(tmp_path)
+    )
+    verify_bounds(cfg)
+    # one upper-bound match and one floor match per preset, each snapshotted at t = T
+    assert calls == [80] * 4
 
 
 def test_verify_report_is_recomputable(tmp_path):

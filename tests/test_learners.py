@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from hedgelab import AveragedHedge, OptimisticHedge, UniformPlayer, uniform_strategy
+from hedgelab.analysis import RegretMeter
 from hedgelab.errors import (
     DimensionMismatchError,
     NonFiniteWeightError,
     UtilityOutOfRangeError,
 )
-from hedgelab.game import make_payoff_matrix
+from hedgelab.game import adversarial_matrix, make_payoff_matrix, play_match
+from hedgelab.learners import EXP_FLOOR
+
+TINY = np.finfo(np.float64).tiny
 
 
 def softmax(scores):
@@ -97,15 +101,65 @@ def test_observe_validation():
         learner.observe(np.zeros(4))
     with pytest.raises(UtilityOutOfRangeError):
         learner.observe(np.array([0.0, 1.5, 0.0]))
+    with pytest.raises(UtilityOutOfRangeError):
+        learner.observe(np.array([0.0, np.nan, 0.0]))
     # reconstructed utilities may carry a hair of float drift past 1
     learner.observe(np.array([0.0, 1.0 + 5e-10, 0.0]))
 
 
-def test_non_finite_scores_raise():
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_scores_raise(bad):
     learner = OptimisticHedge(2, 0.5)
-    learner.cum[0] = np.inf
+    learner.cum[0] = bad
     with pytest.raises(NonFiniteWeightError):
         learner.next_strategy()
+
+
+def test_scores_below_floor_get_exactly_zero_weight():
+    scores = np.linspace(-2000.0, 0.0, 401)
+    learner = OptimisticHedge(scores.size, 1.0)
+    learner.cum[:] = scores
+    x = learner.next_strategy()
+    plain = np.exp(scores) / np.exp(scores).sum()
+    dropped = scores < EXP_FLOOR
+    assert dropped.any() and not dropped.all()
+    assert np.all(x[dropped] == 0.0)
+    assert np.array_equal(x[~dropped], plain[~dropped])
+    assert np.all(plain[dropped] < 1e-299)
+    assert np.all((x == 0.0) | (x >= TINY))
+
+
+class PlainExpHedge(OptimisticHedge):
+    """Reference step: softmax over every score, underflowing lanes included."""
+
+    below_floor = False
+
+    def next_strategy(self):
+        scores = self.rate * (self.cum + self.last)
+        scores -= scores.max()
+        self.below_floor |= bool(scores.min() < EXP_FLOOR)
+        np.exp(scores, out=scores)
+        return scores / scores.sum()
+
+
+@pytest.mark.parametrize("instance", ["adversarial", "uniform"])
+def test_floor_leaves_match_regrets_bit_identical(instance):
+    m, n, horizon = 2, 2000, 2000
+    if instance == "adversarial":
+        payoffs = adversarial_matrix(m, n, 1.0)
+    else:
+        rng = np.random.default_rng(11)
+        payoffs = make_payoff_matrix(m, n, rng.uniform(-1, 1, m * n))
+    reports = []
+    for cls in (OptimisticHedge, PlainExpHedge):
+        x_learner, y_learner = cls(m, 2.0), cls(n, 2.0)
+        meter = RegretMeter(payoffs)
+        play_match(payoffs, x_learner, y_learner, horizon, observer=meter, record=False)
+        reports.append(meter.report())
+    # the rate drives some column weights below the floor within the horizon
+    assert y_learner.below_floor
+    guarded, plain = reports
+    assert guarded == plain
 
 
 def test_constructor_validation():
