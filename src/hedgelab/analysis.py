@@ -33,7 +33,8 @@ class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
     Usable directly as a play_match observer. Argmax bookkeeping runs on
-    cumulative vectors, so nothing per-round is retained.
+    cumulative vectors, so nothing per-round is retained, not even for
+    worst_scaled_pair_gap, the max over rounds of t * (round-t pair's gap).
     """
 
     def __init__(self, payoffs: PayoffMatrix):
@@ -45,6 +46,7 @@ class RegretMeter:
         self.dreg_y = 0.0
         self.rounds = 0
         self.last_pair_gap = 0.0
+        self.worst_scaled_pair_gap = -math.inf
 
     def __call__(self, t, x, y, g, loss):
         self.update(t, x, y, g, loss)
@@ -61,6 +63,7 @@ class RegretMeter:
         self.dreg_x += gmax - px
         self.dreg_y += py - lmin
         self.last_pair_gap = gmax - lmin
+        self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, t * self.last_pair_gap)
         self.rounds = t
 
     @property

@@ -35,7 +35,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", help="comma-separated preset names or 'all'")
     parser.add_argument("--algo", choices=["hedge", "averaged"])
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--cadence", type=int, help="emit metrics every k rounds")
+    parser.add_argument(
+        "--cadence", type=int, help="simulate: one metric row per k rounds; verify: every round"
+    )
 
 
 def _gather_config(args) -> dict:

@@ -13,7 +13,7 @@ from .errors import (
     UtilityOutOfRangeError,
 )
 
-# Reconstructed utilities carry float drift, so the range check leaves a hair
+# Utilities computed as A @ y carry rounding, so the range check leaves a hair
 # of slack above 1; a genuinely out-of-range entry like 1.5 still raises.
 UTILITY_SLACK = 1e-9
 
@@ -31,6 +31,15 @@ class Learner(Protocol):
     def next_strategy(self) -> np.ndarray: ...
 
     def observe(self, utilities) -> None: ...
+
+
+def _checked_utilities(utilities, dim: int) -> np.ndarray:
+    u = np.asarray(utilities, dtype=np.float64)
+    if u.shape != (dim,):
+        raise DimensionMismatchError(f"expected {dim} utilities, got shape {u.shape}")
+    if not float(np.abs(u).max()) <= 1.0 + UTILITY_SLACK:  # NaN fails too
+        raise UtilityOutOfRangeError("utilities must lie in [-1, 1]")
+    return u
 
 
 def uniform_strategy(dim: int) -> np.ndarray:
@@ -83,11 +92,10 @@ class OptimisticHedge:
         return scores / scores.sum()
 
     def observe(self, utilities) -> None:
-        u = np.asarray(utilities, dtype=np.float64)
-        if u.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected {self.dim} utilities, got shape {u.shape}")
-        if not float(np.abs(u).max()) <= 1.0 + UTILITY_SLACK:  # NaN fails too
-            raise UtilityOutOfRangeError("utilities must lie in [-1, 1]")
+        self._update(_checked_utilities(utilities, self.dim))
+
+    def _update(self, u: np.ndarray) -> None:
+        """Count an already-checked utility vector; u must not be mutated later."""
         self.cum += u
         self.last = u
         self.round += 1
@@ -122,9 +130,10 @@ class AveragedHedge:
 
     The environment only reports utilities of the averaged strategies, so the
     inner learner's own utility is reconstructed each round as
-    t * (averaged utility) - (sum of previously reconstructed utilities).
-    Both running sums use compensated summation to keep the reconstruction
-    drift below the 1e-10 the equivalence tests demand.
+    t * (averaged utility) - (the inner learner's running utility sum). The
+    iterate mean uses compensated summation. observe() range-checks the
+    averaged utilities it is given; the reconstruction, whose float error
+    grows like t * eps, goes to the inner learner unchecked.
     """
 
     def __init__(self, dim: int, rate: float):
@@ -133,8 +142,6 @@ class AveragedHedge:
         self.round = 1
         self._iter_sum = np.zeros(self.dim)
         self._iter_comp = np.zeros(self.dim)
-        self._hat_sum = np.zeros(self.dim)
-        self._hat_comp = np.zeros(self.dim)
         self._pending: np.ndarray | None = None
         self.last_inner: np.ndarray | None = None
         self.last_reconstructed: np.ndarray | None = None
@@ -150,12 +157,9 @@ class AveragedHedge:
     def observe(self, utilities) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before next_strategy()")
-        u = np.asarray(utilities, dtype=np.float64)
-        if u.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected {self.dim} utilities, got shape {u.shape}")
-        recon = self.round * u - self._hat_sum
+        u = _checked_utilities(utilities, self.dim)
+        recon = self.round * u - self.inner.cum
         self.last_reconstructed = recon
-        self.inner.observe(recon)
-        _kahan_add(self._hat_sum, self._hat_comp, recon)
+        self.inner._update(recon)
         self.round += 1
         self._pending = None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hedgelab import (
+    AveragedHedge,
     OptimisticHedge,
     RegretMeter,
     adversarial_matrix,
@@ -53,6 +54,21 @@ def test_meter_matches_trace_report():
     assert report.max_individual == max(report.reg_x, report.reg_y)
     assert report.dreg_x >= report.reg_x - 1e-10
     assert report.dreg_y >= report.reg_y - 1e-10
+
+
+def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
+    rng = np.random.default_rng(16)
+    a = make_payoff_matrix(6, 9, rng.uniform(-1, 1, 54))
+    trace = play_match(a, AveragedHedge(6, 0.4), AveragedHedge(9, 0.3), 300)
+    meter = RegretMeter(a)
+    assert meter.worst_scaled_pair_gap == -math.inf
+    for i in range(trace.horizon):
+        meter.update(i + 1, trace.x[i], trace.y[i], trace.gains[i], trace.losses[i])
+    expected = max(
+        (i + 1) * (float(trace.gains[i].max()) - float(trace.losses[i].min()))
+        for i in range(trace.horizon)
+    )
+    assert meter.worst_scaled_pair_gap == expected
 
 
 def test_averaged_pair_gap_is_nash_gap_of_averages():

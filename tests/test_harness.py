@@ -197,8 +197,10 @@ def test_verify_bounds_hedge(tmp_path):
     assert (tmp_path / "verify_report.txt").read_text().count("PASS") == len(report.checks)
 
 
-def test_verify_bounds_hedge_takes_one_snapshot_per_match(tmp_path, monkeypatch):
-    # the hedge checks read only final regrets, so no per-round rows are built
+@pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
+def test_verify_bounds_hedge_takes_one_snapshot_per_match(tmp_path, monkeypatch, algorithm):
+    # every check reads the final meter (the averaged gap checks its running
+    # worst), so no per-round rows are built
     calls = []
     snapshot = RegretMeter.snapshot
 
@@ -208,7 +210,12 @@ def test_verify_bounds_hedge_takes_one_snapshot_per_match(tmp_path, monkeypatch)
 
     monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
     cfg = ExperimentConfig(
-        m=2, n=6, horizon=80, presets=("U-Social", "A-X-only"), out_dir=str(tmp_path)
+        m=2,
+        n=6,
+        horizon=80,
+        presets=("U-Social", "A-Social"),
+        algorithm=algorithm,
+        out_dir=str(tmp_path),
     )
     verify_bounds(cfg)
     # one upper-bound match and one floor match per preset, each snapshotted at t = T
@@ -251,6 +258,32 @@ def test_verify_bounds_averaged(tmp_path):
     loose = next(c for c in report.checks if c.check == "gap[plus-4]")
     assert tight.bound < loose.bound
     assert tight.measured == loose.measured
+
+
+def test_verify_averaged_gap_ignores_cadence(tmp_path):
+    # the worst scaled gap is taken over every round, not every cadence-th
+    rng = np.random.default_rng(4)
+    m, n = 6, 9
+    path = tmp_path / "game.txt"
+    body = "\n".join(" ".join(repr(float(v)) for v in row) for row in rng.uniform(-1, 1, (m, n)))
+    path.write_text(f"{m} {n}\n{body}\n")
+    gaps = []
+    for cadence in (1, 7):
+        cfg = ExperimentConfig(
+            m=m,
+            n=n,
+            horizon=300,
+            instance="file",
+            matrix_path=str(path),
+            presets=("U-Social", "A-Social"),
+            algorithm="averaged",
+            out_dir=str(tmp_path / f"cadence{cadence}"),
+            cadence=cadence,
+        )
+        report = verify_bounds(cfg)
+        gaps.append([(c.check, c.preset, c.measured) for c in report.checks if "gap[" in c.check])
+    assert len(gaps[0]) == 3
+    assert gaps[0] == gaps[1]
 
 
 def test_verify_bounds_averaged_rejects_uncovered_presets():

@@ -9,7 +9,8 @@ from hedgelab.errors import (
     UtilityOutOfRangeError,
 )
 from hedgelab.game import adversarial_matrix, make_payoff_matrix, play_match
-from hedgelab.learners import EXP_FLOOR
+from hedgelab.learners import EXP_FLOOR, _kahan_add
+from hedgelab.rates import preset_rates
 
 TINY = np.finfo(np.float64).tiny
 
@@ -236,8 +237,84 @@ def test_averaged_observe_requires_next_strategy():
         learner.observe(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.5, np.nan])
+def test_averaged_observe_range_check(bad):
+    learner = AveragedHedge(3, 0.5)
+    learner.next_strategy()
+    learner.observe(np.array([0.5, -0.5, 0.0]))
+    learner.next_strategy()
+    with pytest.raises(UtilityOutOfRangeError):
+        learner.observe(np.array([0.0, bad, 0.0]))
+
+
 def test_averaged_dimension_check():
     learner = AveragedHedge(3, 0.5)
     learner.next_strategy()
     with pytest.raises(DimensionMismatchError):
         learner.observe(np.zeros(2))
+
+
+class KahanHatAveragedHedge(AveragedHedge):
+    """Reference averaged learner that keeps its own compensated sum of the
+    reconstructed utilities instead of reading the inner learner's sum."""
+
+    def __init__(self, dim, rate):
+        super().__init__(dim, rate)
+        self.hat_sum = np.zeros(dim)
+        self.hat_comp = np.zeros(dim)
+
+    def observe(self, utilities):
+        u = np.asarray(utilities, dtype=np.float64)
+        recon = self.round * u - self.hat_sum
+        self.last_reconstructed = recon
+        self.inner.observe(recon)
+        _kahan_add(self.hat_sum, self.hat_comp, recon)
+        self.round += 1
+        self._pending = None
+
+
+def averaged_trajectory(cls, a, rate_x, rate_y, horizon):
+    m, n = a.shape
+    xl, yl = cls(m, rate_x), cls(n, rate_y)
+    for _ in range(horizon):
+        x, y = xl.next_strategy(), yl.next_strategy()
+        xl.observe(a @ y)
+        yl.observe(-(a.T @ x))
+        yield x, y, xl.last_inner, yl.last_inner, xl.last_reconstructed, yl.last_reconstructed
+
+
+@pytest.mark.parametrize("instance", ["adversarial", "random-3", "random-4"])
+def test_averaged_matches_compensated_hat_sum_reference(instance):
+    if instance == "adversarial":
+        a = adversarial_matrix(2, 10000, 1.0).entries
+    else:
+        rng = np.random.default_rng(int(instance[-1]))
+        a = rng.uniform(-1, 1, (7, 12) if instance == "random-3" else (22, 28))
+    rp = preset_rates("U-Social", *a.shape)
+    derived = averaged_trajectory(AveragedHedge, a, rp.eta_x, rp.eta_y, 2000)
+    reference = averaged_trajectory(KahanHatAveragedHedge, a, rp.eta_x, rp.eta_y, 2000)
+    for t, (got, want) in enumerate(zip(derived, reference, strict=True), start=1):
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w), t
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_averaged_late_start_has_no_false_range_error(seed):
+    # Start at round 1e7 as if that many rounds had been played against a
+    # 3x3 game whose first row is constantly +1. The reconstruction then
+    # carries ~t * eps of rounding, above UTILITY_SLACK, on a valid game.
+    t0 = 10**7
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (3, 3))
+    a[0] = 1.0
+    ybar = rng.dirichlet(np.ones(3))
+    learner = AveragedHedge(3, 0.5)
+    learner.round = learner.inner.round = t0
+    learner.inner.cum[:] = (t0 - 1) * (a @ ybar)
+    learner._iter_sum[:] = (t0 - 1) / 3
+    for t in range(t0, t0 + 50):
+        assert learner.next_strategy().sum() == pytest.approx(1.0, abs=1e-12)
+        y = rng.dirichlet(np.ones(3))
+        ybar = ((t - 1) * ybar + y) / t
+        learner.observe(a @ ybar)
+        assert np.abs(learner.last_reconstructed - a @ y).max() <= 1e-7
