@@ -26,7 +26,6 @@ class RegretReport:
     max_individual: float
     dreg_x: float
     dreg_y: float
-    per_round: list | None = None
 
 
 class RegretMeter:
@@ -85,7 +84,7 @@ class RegretMeter:
             return 0.0
         return (float(self.cum_gain.max()) - float(self.cum_loss.min())) / self.rounds
 
-    def report(self, per_round=None) -> RegretReport:
+    def report(self) -> RegretReport:
         rx, ry = self.reg_x, self.reg_y
         return RegretReport(
             reg_x=rx,
@@ -94,7 +93,6 @@ class RegretMeter:
             max_individual=max(rx, ry),
             dreg_x=self.dreg_x,
             dreg_y=self.dreg_y,
-            per_round=per_round,
         )
 
     def snapshot(self, gap_mode: str = "averaged_pair") -> dict:
@@ -119,15 +117,12 @@ class RegretMeter:
         }
 
 
-def regret_report(trace: MatchTrace, keep_per_round: bool = False) -> RegretReport:
+def regret_report(trace: MatchTrace) -> RegretReport:
     """Regret metrics of a recorded match, identical to live metering."""
     meter = RegretMeter(trace.payoffs)
-    rows = [] if keep_per_round else None
     for i in range(trace.horizon):
         meter.update(i + 1, trace.x[i], trace.y[i], trace.gains[i], trace.losses[i])
-        if keep_per_round:
-            rows.append(meter.snapshot())
-    return meter.report(per_round=rows)
+    return meter.report()
 
 
 def nash_gap(payoffs: PayoffMatrix, x, y) -> float:

@@ -89,7 +89,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = None
-    if args.gamma_grid:
+    if args.gamma_grid is not None:
         try:
             grid = tuple(float(v) for v in args.gamma_grid.split(",") if v.strip())
         except ValueError:

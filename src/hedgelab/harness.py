@@ -263,6 +263,8 @@ def sweep_gamma(m: int, n: int, grid=None, out_path=None):
     """Tradeoff sweep: optimal per-player bounds along a weight grid, then the
     min-max point as a final row. Returns the rows; writes a CSV if asked."""
     grid = tuple(grid) if grid is not None else DEFAULT_GAMMA_GRID
+    if not grid:
+        raise InvalidGammaError("sweep weight grid is empty")
     for g in grid:
         if not (0.0 < g < 1.0):
             raise InvalidGammaError(f"sweep weights must lie strictly in (0, 1), got {g}")
@@ -391,7 +393,7 @@ def _gap_constants(preset: str, m: int, n: int):
     b = BoundInputs.from_actions(m, n)
     if preset == "U-Social":
         return (("2log(mn)", 2.0 * (b.log_m + b.log_n)),)
-    tight = 2.0 * math.sqrt(b.log_m * b.log_n_plus) + 2.0 * math.sqrt(b.log_m_plus * b.log_n)
+    tight = theoretical_upper("A-Social", m, n)
     loose = 2.0 * math.sqrt(b.log_m * (b.log_n + 4.0)) + 2.0 * math.sqrt(
         b.log_n * (b.log_m + 4.0)
     )

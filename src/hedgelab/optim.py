@@ -1,6 +1,7 @@
 """Minimization of the regret-bound surfaces in log coordinates.
 
-In the transformed coordinates each per-player bound is a posynomial, so in
+In the transformed coordinates each per-player bound is a posynomial, whose
+table (coefficients, exponent rows) comes from rates.bound_tables; in
 log coordinates z = (log a_x, log a_y, log s_x, log s_y) it is a sum of
 exponentials of affine functions: smooth and strictly convex, with gradient
 E^T t and Hessian E^T diag(t) E for exponent rows E and terms t. Every solve
@@ -21,9 +22,11 @@ import numpy as np
 
 from .errors import DegenerateGameError, InvalidGammaError
 from .rates import (
+    UNAWARE_TABLES,
     BoundInputs,
     RateParams,
     TransformedParams,
+    bound_tables,
     from_transformed,
 )
 
@@ -34,35 +37,6 @@ ARMIJO = 1e-4
 DECREMENT_TOL = 1e-15
 # The min-max bisection stops once the two surfaces agree to this relative gap.
 BALANCE_TOL = 1e-12
-# Mirrors the roles of the players: (a_x, a_y, s_x, s_y) -> (a_y, a_x, s_y, s_x).
-_MIRROR = [1, 0, 3, 2]
-
-
-def _x_bound_terms(b: BoundInputs):
-    """Posynomial table (coefficients, exponent rows) of the x-player bound."""
-    m, n = b.log_m, b.log_n
-    mp, np_ = b.log_m_plus, b.log_n_plus
-    coefs = np.array([m, m, np_, m, m, mp, n, np_, m])
-    expos = np.array(
-        [
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, -1.0],
-            [1.0, 1.0, 0.0, -1.0],
-            [1.0, -1.0, 0.0, -1.0],
-            [2.0, 0.0, 0.0, -1.0],
-            [1.0, 0.0, 1.0, -1.0],
-        ]
-    )
-    return coefs, expos
-
-
-def _y_bound_terms(b: BoundInputs):
-    """The y-player bound is the x-player bound with the roles mirrored."""
-    coefs, expos = _x_bound_terms(BoundInputs(b.log_n, b.log_m))
-    return coefs, expos[:, _MIRROR]
 
 
 def _social_terms(b: BoundInputs):
@@ -70,34 +44,6 @@ def _social_terms(b: BoundInputs):
     coefs = np.array([b.log_m, b.log_n_plus, b.log_n, b.log_m_plus])
     expos = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
     return coefs, expos
-
-
-# Worst-case coefficient posynomials of the cardinality-unaware tradeoff:
-# the coefficients multiplying log m / log n inside each player's bound,
-# written in the same four transformed coordinates. All coefficients are 1.
-_X_COEF_TABLES = [
-    # on log m inside the x bound: (1 + a_x/s_y)(1/a_x + a_y + s_x)
-    np.array(
-        [
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, -1.0],
-            [1.0, 1.0, 0.0, -1.0],
-            [1.0, 0.0, 1.0, -1.0],
-        ]
-    ),
-    # on log n inside the x bound: (a_x/s_y)(1/a_y + a_x + s_y)
-    np.array(
-        [
-            [1.0, -1.0, 0.0, -1.0],
-            [2.0, 0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0, 0.0],
-        ]
-    ),
-]
-# On log m, then log n, inside the y bound: the x tables mirrored.
-_COEF_TABLES = _X_COEF_TABLES + [e[:, _MIRROR] for e in reversed(_X_COEF_TABLES)]
 
 
 def _eval_posy(coefs: np.ndarray, expos: np.ndarray, z: np.ndarray):
@@ -114,8 +60,9 @@ def eval_log_bounds(coords, b: BoundInputs):
     z = np.asarray(coords, dtype=np.float64)
     if z.shape != (4,):
         raise ValueError(f"expected 4 log coordinates, got shape {z.shape}")
-    bx, gx = _eval_posy(*_x_bound_terms(b), z)
-    by, gy = _eval_posy(*_y_bound_terms(b), z)
+    x_table, y_table = bound_tables(b)
+    bx, gx = _eval_posy(*x_table, z)
+    by, gy = _eval_posy(*y_table, z)
     return bx, by, gx, gy
 
 
@@ -248,15 +195,11 @@ def minimize(
     if objective == "weighted":
         if gamma is None or not (0.0 <= gamma <= 1.0):
             raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
-        z, iters, converged = _solve_weighted(
-            _x_bound_terms(b), _y_bound_terms(b), gamma, z0, opts.max_iters
-        )
+        z, iters, converged = _solve_weighted(*bound_tables(b), gamma, z0, opts.max_iters)
         return _result_at(z, b, iters, converged, weight=gamma)
 
     if objective == "max":
-        z, iters, converged = _minimize_max(
-            _x_bound_terms(b), _y_bound_terms(b), z0, opts.max_iters
-        )
+        z, iters, converged = _minimize_max(*bound_tables(b), z0, opts.max_iters)
         return _result_at(z, b, iters, converged)
 
     raise ValueError(f"unknown objective {objective!r}")
@@ -297,10 +240,10 @@ def minimize_unaware_coefficients(options: OptimizeOptions | None = None):
     x tables over (log a, log s).
     """
     opts = options or OptimizeOptions()
-    x_tables = [(np.ones(e.shape[0]), e[:, [0, 2]] + e[:, [1, 3]]) for e in _X_COEF_TABLES]
+    x_tables = [(np.ones(e.shape[0]), e[:, [0, 2]] + e[:, [1, 3]]) for e in UNAWARE_TABLES[:2]]
     z, _, _ = _minimize_max(*x_tables, np.zeros(2), opts.max_iters)
     coords = z[[0, 0, 1, 1]]
-    worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in _COEF_TABLES)
+    worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in UNAWARE_TABLES)
     point = TransformedParams(*(math.exp(v) for v in coords))
     return point, worst
 
@@ -313,7 +256,7 @@ def gradient_check(coords, b: BoundInputs, step: float = 1e-5) -> float:
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     worst = 0.0
-    for coefs, expos in (_x_bound_terms(b), _y_bound_terms(b)):
+    for coefs, expos in bound_tables(b):
         _, grad = _eval_posy(coefs, expos, z)
         for i in range(4):
             zp = z.copy()

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     DegenerateGameError,
     InfeasibleError,
@@ -194,20 +196,64 @@ def individual_bounds(rp: RateParams, b: BoundInputs):
     return bound_x, bound_y
 
 
+# The x-player bound as a posynomial in the transformed coordinates
+# p = (a_x, a_y, s_x, s_y): term i is (BOUND_COEFS[i] . (log m, log n, 1)) times
+# the product of p_j ** BOUND_EXPOS[i, j]. Swapping the players' roles maps it
+# onto the y-player bound.
+BOUND_COEFS = np.array(
+    [
+        [1.0, 0.0, 0.0],  # log m / a_x
+        [1.0, 0.0, 0.0],  # log m a_y
+        [0.0, 1.0, 0.5],  # (log n + 1/2) a_x
+        [1.0, 0.0, 0.0],  # log m s_x
+        [1.0, 0.0, 0.0],  # log m / s_y
+        [1.0, 0.0, 0.5],  # (log m + 1/2) a_x a_y / s_y
+        [0.0, 1.0, 0.0],  # log n a_x / (a_y s_y)
+        [0.0, 1.0, 0.5],  # (log n + 1/2) a_x^2 / s_y
+        [1.0, 0.0, 0.0],  # log m a_x s_x / s_y
+    ]
+)
+BOUND_EXPOS = np.array(
+    [
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [1.0, 1.0, 0.0, -1.0],
+        [1.0, -1.0, 0.0, -1.0],
+        [2.0, 0.0, 0.0, -1.0],
+        [1.0, 0.0, 1.0, -1.0],
+    ]
+)
+# Swaps the players' roles: (a_x, a_y, s_x, s_y) -> (a_y, a_x, s_y, s_x).
+_MIRROR = [1, 0, 3, 2]
+
+
+def bound_tables(b: BoundInputs):
+    """Posynomial tables (coefficients, exponent rows) of the x and y bounds."""
+    x_table = (BOUND_COEFS @ np.array([b.log_m, b.log_n, 1.0]), BOUND_EXPOS)
+    y_table = (BOUND_COEFS @ np.array([b.log_n, b.log_m, 1.0]), BOUND_EXPOS[:, _MIRROR])
+    return x_table, y_table
+
+
+# Exponent rows of the size-free coefficient posynomials (every coefficient 1)
+# that multiply log m, then log n, inside the x bound, then log m, then log n,
+# inside the y bound.
+_ON_LOG_M, _ON_LOG_N = (BOUND_EXPOS[BOUND_COEFS[:, k] != 0.0] for k in (0, 1))
+UNAWARE_TABLES = (_ON_LOG_M, _ON_LOG_N, _ON_LOG_N[:, _MIRROR], _ON_LOG_M[:, _MIRROR])
+
+
 def individual_bounds_from_transformed(tp: TransformedParams, b: BoundInputs):
-    """The same per-player bounds evaluated directly in transformed coordinates."""
-    m, n = b.log_m, b.log_n
-    mp, np_ = b.log_m_plus, b.log_n_plus
-    a, ay, s, sy = tp.a_x, tp.a_y, tp.s_x, tp.s_y
-    mix = m / a + np_ * a + n / ay + mp * ay
-    if sy == 0.0:
-        bound_x = math.inf
-    else:
-        bound_x = (m / a + ay * m + a / 2.0 + a * n) + s * m + (a / sy) * (mix + s * m)
-    if s == 0.0:
-        bound_y = math.inf
-    else:
-        bound_y = (n / ay + a * n + ay / 2.0 + ay * m) + sy * n + (ay / s) * (mix + sy * n)
+    """The same per-player bounds: the bound tables evaluated at the point.
+
+    Only the opposite player's slack has a negative exponent in a bound, so
+    the bound is math.inf exactly when that slack is 0.
+    """
+    p = np.array([tp.a_x, tp.a_y, tp.s_x, tp.s_y])
+    (cx, ex), (cy, ey) = bound_tables(b)
+    bound_x = math.inf if tp.s_y == 0.0 else float(cx @ np.prod(p**ex, axis=1))
+    bound_y = math.inf if tp.s_x == 0.0 else float(cy @ np.prod(p**ey, axis=1))
     return bound_x, bound_y
 
 

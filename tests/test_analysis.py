@@ -96,13 +96,6 @@ def test_snapshot_rows():
         meter.snapshot("nearest_pair")
 
 
-def test_per_round_report():
-    _, trace = hedge_match(2, 2, 0.5, 0.5, 1.0, 9)
-    report = regret_report(trace, keep_per_round=True)
-    assert len(report.per_round) == 9
-    assert report.per_round[-1]["reg_x"] == pytest.approx(report.reg_x, abs=1e-15)
-
-
 def test_nash_gap_values():
     mp = matching_pennies()
     u = np.full(2, 0.5)

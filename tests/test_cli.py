@@ -103,8 +103,11 @@ def test_sweep_gamma_cli(tmp_path, capsys):
 def test_sweep_gamma_cli_bad_grid(capsys):
     assert main(["sweep-gamma", "--m", "2", "--n", "2", "--gamma-grid", "0.3,oops"]) == 2
     assert main(["sweep-gamma", "--m", "2", "--n", "2", "--gamma-grid", "0.5,1.0"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 2
+    assert main(["sweep-gamma", "--m", "2", "--n", "3", "--gamma-grid", ","]) == 2
+    assert main(["sweep-gamma", "--m", "2", "--n", "3", "--gamma-grid", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 4 and captured.err.count("\n") == 4
+    assert "max:" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,8 @@ def test_sweep_gamma_rows(tmp_path):
         sweep_gamma(4, 4, grid=(0.0, 0.5))
     with pytest.raises(InvalidGammaError):
         sweep_gamma(4, 4, grid=(0.5, 1.0))
+    with pytest.raises(InvalidGammaError):
+        sweep_gamma(4, 4, grid=())
 
 
 def test_verify_bounds_hedge(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hedgelab import (
     BoundInputs,
     OptimizeOptions,
+    TransformedParams,
     eval_log_bounds,
     from_transformed,
     gradient_check,
@@ -13,6 +14,7 @@ from hedgelab import (
     is_feasible,
     minimize,
     minimize_unaware_coefficients,
+    preset_rates,
 )
 from hedgelab.errors import DegenerateGameError, InvalidGammaError
 from hedgelab.harness import DEFAULT_GAMMA_GRID
@@ -33,7 +35,7 @@ def test_eval_at_origin():
 
 def test_eval_agrees_with_rate_form():
     # log coordinates (0,0,0,0) correspond to a = a' = s = s' = 1
-    from hedgelab import TransformedParams, individual_bounds_from_transformed
+    from hedgelab import individual_bounds_from_transformed
 
     direct = individual_bounds_from_transformed(TransformedParams(1, 1, 1, 1), UNIT)
     f, g, _, _ = eval_log_bounds(np.zeros(4), UNIT)
@@ -168,11 +170,12 @@ def test_max_objective_asymmetric():
 
 def test_unaware_coefficient_problem():
     point, kappa = minimize_unaware_coefficients()
-    assert kappa == pytest.approx(3.0 * SQ3, abs=1e-6)
-    for got in (point.a_x, point.a_y):
-        assert got == pytest.approx(1.0 / SQ3, abs=1e-5)
-    for got in (point.s_x, point.s_y):
-        assert got == pytest.approx(2.0 / SQ3, abs=1e-5)
+    # pinned to the last bit
+    r = 1.0 / math.sqrt(3)
+    assert kappa == 3 * math.sqrt(3)
+    assert point == TransformedParams(r, r, 2 * r, 2 * r)
+    for m, n in [(2, 2), (3, 40), (100, 7), (2, 10000), (10000, 10000)]:
+        assert preset_rates("U-MaxInd-Num", m, n) == preset_rates("U-MaxInd-Cl", m, n)
     rp = from_transformed(point)
     assert rp.eta_x == pytest.approx(1.0 / (2.0 * SQ3), abs=1e-5)
     assert rp.c_x == pytest.approx(0.5, abs=1e-5)

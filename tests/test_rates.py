@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,10 +148,22 @@ def test_individual_bounds_coordinate_forms_agree():
     b = BoundInputs.from_actions(3, 40)
     for _ in range(300):
         tp = random_transformed(rng)
-        direct = individual_bounds_from_transformed(tp, b)
-        via_rates = individual_bounds(from_transformed(tp), b)
-        assert via_rates[0] == pytest.approx(direct[0], rel=1e-10)
-        assert via_rates[1] == pytest.approx(direct[1], rel=1e-10)
+        # zero slack puts the plan on a stability boundary: the opposite
+        # player's bound is infinite there, the other stays finite
+        for point in (
+            tp,
+            replace(tp, s_y=0.0),
+            replace(tp, s_x=0.0),
+            replace(tp, s_x=0.0, s_y=0.0),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                direct = individual_bounds_from_transformed(point, b)
+            assert (direct[0] == math.inf) == (point.s_y == 0.0)
+            assert (direct[1] == math.inf) == (point.s_x == 0.0)
+            via_rates = individual_bounds(from_transformed(point), b)
+            assert via_rates[0] == pytest.approx(direct[0], rel=1e-10)
+            assert via_rates[1] == pytest.approx(direct[1], rel=1e-10)
 
 
 def test_individual_bounds_symmetric_plans():
