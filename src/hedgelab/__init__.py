@@ -24,6 +24,7 @@ from .game import (
     make_payoff_matrix,
     matching_pennies,
     play_match,
+    record_match,
 )
 from .learners import AveragedHedge, OptimisticHedge, UniformPlayer, uniform_strategy
 from .optim import (
@@ -87,6 +88,7 @@ __all__ = [
     "nash_gap",
     "play_match",
     "preset_rates",
+    "record_match",
     "regret_report",
     "social_bound_terms",
     "theoretical_upper",

@@ -15,6 +15,7 @@ import sys
 from .errors import ConfigError, MatrixFormatError
 from .game import load_matrix_file
 from .harness import (
+    CONFIG_KEYS,
     build_config,
     load_config_file,
     run_experiment,
@@ -28,11 +29,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--m", type=int, help="row player's action count")
     parser.add_argument("--n", type=int, help="column player's action count")
-    parser.add_argument("--T", type=int, dest="horizon", help="number of rounds")
+    parser.add_argument("--T", type=int, help="number of rounds")
     parser.add_argument("--delta", type=float, help="adversarial instance gap")
     parser.add_argument("--instance", choices=["adversarial", "matching_pennies", "file"])
     parser.add_argument("--matrix-file", dest="matrix_file", help="path for instance=file")
-    parser.add_argument("--preset", help="comma-separated preset names or 'all'")
+    parser.add_argument("--preset", dest="presets", help="comma-separated preset names or 'all'")
     parser.add_argument("--algo", choices=["hedge", "averaged"])
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
@@ -41,20 +42,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _gather_config(args) -> dict:
+    """Config file values, overridden by every flag given; each flag's dest
+    is its config key."""
     values = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "m": args.m,
-        "n": args.n,
-        "T": args.horizon,
-        "delta": args.delta,
-        "instance": args.instance,
-        "matrix_file": args.matrix_file,
-        "presets": args.preset,
-        "algo": args.algo,
-        "out": args.out,
-        "cadence": args.cadence,
-    }
-    for key, value in overrides.items():
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             values[key] = str(value)
     return values

@@ -119,16 +119,15 @@ def play_match(
     x_learner,
     y_learner,
     horizon: int,
-    observer: Observer | None = None,
-    record: bool = True,
-) -> MatchTrace | None:
+    observer: Observer,
+) -> None:
     """Run the uncoupled repeated game for `horizon` rounds.
 
     Each round both learners commit a strategy, then the row learner observes
     the gain vector and the column learner observes the negated loss vector
-    (so one learner implementation serves both roles). `observer`, if given,
-    is called with (t, x, y, gains, losses) before the learners update; with
-    record=False no trace is kept and None is returned (memory mode).
+    (so one learner implementation serves both roles). `observer` is called
+    with (t, x, y, gains, losses) before the learners update; nothing else
+    of a round is kept.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -138,27 +137,26 @@ def play_match(
             f"{payoffs.m}x{payoffs.n} game"
         )
     a = payoffs.entries
-    if record:
-        xs = np.empty((horizon, payoffs.m))
-        ys = np.empty((horizon, payoffs.n))
-        gs = np.empty((horizon, payoffs.m))
-        ls = np.empty((horizon, payoffs.n))
     for t in range(1, horizon + 1):
         x = x_learner.next_strategy()
         y = y_learner.next_strategy()
         g = a @ y
         loss = a.T @ x
-        if record:
-            xs[t - 1] = x
-            ys[t - 1] = y
-            gs[t - 1] = g
-            ls[t - 1] = loss
-        if observer is not None:
-            observer(t, x, y, g, loss)
+        observer(t, x, y, g, loss)
         x_learner.observe(g)
         y_learner.observe(-loss)
-    if not record:
-        return None
+
+
+def record_match(payoffs: PayoffMatrix, x_learner, y_learner, horizon: int) -> MatchTrace:
+    """play_match with a recording observer: the full per-round trace."""
+    rows = max(horizon, 0)
+    xs, gs = np.empty((rows, payoffs.m)), np.empty((rows, payoffs.m))
+    ys, ls = np.empty((rows, payoffs.n)), np.empty((rows, payoffs.n))
+
+    def record(t, x, y, g, loss):
+        xs[t - 1], ys[t - 1], gs[t - 1], ls[t - 1] = x, y, g, loss
+
+    play_match(payoffs, x_learner, y_learner, horizon, record)
     return MatchTrace(payoffs, xs, ys, gs, ls)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -166,10 +167,15 @@ def _make_learner(algorithm: str, dim: int, rate: float):
     return OptimisticHedge(dim, rate)
 
 
-def run_metered(payoffs: PayoffMatrix, algorithm: str, rp, horizon: int, cadence: int):
-    """One match under live metering; returns (metric rows, final meter).
+def run_metered(
+    payoffs: PayoffMatrix, algorithm: str, rp, horizon: int, write_row=None, cadence: int = 1
+):
+    """One match under live metering; returns (final metric row, meter).
 
-    No trace is retained, so memory stays O(m + n) whatever the horizon. The
+    With write_row, each row taken (every `cadence` rounds and at t =
+    horizon) goes to write_row at once and the last is the final row;
+    without it the meter alone observes and the final row is taken after
+    the match. No row is kept, so memory is O(m + n) at any horizon. The
     nash_gap column describes the time-averaged pair for the plain dynamic
     and the played (already averaged) pair for the averaged dynamic.
     """
@@ -177,15 +183,21 @@ def run_metered(payoffs: PayoffMatrix, algorithm: str, rp, horizon: int, cadence
     y_learner = _make_learner(algorithm, payoffs.n, rp.eta_y)
     meter = RegretMeter(payoffs)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
-    rows = []
+    if write_row is None:
+        play_match(payoffs, x_learner, y_learner, horizon, meter)
+        return meter.snapshot(gap_mode), meter
+    # a match of no rounds has only its t = 0 row, which no round writes
+    final = meter.snapshot(gap_mode) if horizon == 0 else None
 
     def observer(t, x, y, g, loss):
+        nonlocal final
         meter.update(t, x, y, g, loss)
         if t % cadence == 0 or t == horizon:
-            rows.append(meter.snapshot(gap_mode))
+            final = meter.snapshot(gap_mode)
+            write_row(final)
 
-    play_match(payoffs, x_learner, y_learner, horizon, observer=observer, record=False)
-    return rows, meter
+    play_match(payoffs, x_learner, y_learner, horizon, observer)
+    return final, meter
 
 
 def _fmt(value) -> str:
@@ -198,58 +210,55 @@ def _fmt(value) -> str:
     return format(float(value), ".15e")
 
 
-def write_csv(path, columns, rows) -> None:
+@contextmanager
+def csv_writer(path, columns):
+    """Create `path` (and its directory), write the header, and yield a
+    function that writes one row dict in column order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
+        yield lambda row: writer.writerow([_fmt(row[c]) for c in columns])
+
+
+def write_csv(path, columns, rows) -> None:
+    with csv_writer(path, columns) as write_row:
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            write_row(row)
 
 
-def _upper_target(preset: str, report, cfg: ExperimentConfig, m: int, n: int):
-    """(target metric, measured value, bound) a preset's match is held to; the
-    averaged dynamic's max_dreg has a bound only for the social presets."""
+def _upper_target(preset: str, row: dict, cfg: ExperimentConfig, m: int, n: int):
+    """(target metric, measured value, bound) a preset's match is held to,
+    read from its final metric row; the averaged dynamic's max_dreg has a
+    bound only for the social presets."""
     if cfg.algorithm == "averaged":
         bound = ""
         if preset in ("U-Social", "A-Social"):
             bound = theoretical_upper(preset, m, n, cfg.horizon, dynamic=True)
-        return "max_dreg", max(report.dreg_x, report.dreg_y), bound
+        return "max_dreg", max(row["dreg_x"], row["dreg_y"]), bound
     target = PRESET_TARGETS[preset]
-    measured = {
-        "social": report.social,
-        "reg_x": report.reg_x,
-        "max_ind": report.max_individual,
-    }[target]
-    return target, measured, theoretical_upper(preset, m, n)
+    return target, row[target], theoretical_upper(preset, m, n)
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Run every configured preset, write per-preset metric CSVs plus a
-    summary CSV, and return the summary rows."""
+    """Run every configured preset, stream each one's metric rows to its
+    CSV, write a summary CSV, and return the summary rows."""
     payoffs = instance_matrix(cfg)
     out = Path(cfg.out_dir)
     summary = []
     for preset in cfg.presets:
         rp = preset_rates(preset, payoffs.m, payoffs.n)
-        rows, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, cfg.cadence)
-        write_csv(out / f"metrics_{preset}.csv", METRIC_COLUMNS, rows)
-        report = meter.report()
-        target, measured, bound = _upper_target(preset, report, cfg, payoffs.m, payoffs.n)
+        with csv_writer(out / f"metrics_{preset}.csv", METRIC_COLUMNS) as write_row:
+            final, _ = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, write_row, cfg.cadence)
+        target, measured, bound = _upper_target(preset, final, cfg, payoffs.m, payoffs.n)
         summary.append(
             {
                 "preset": preset,
                 "target_metric": target,
                 "measured_target": measured,
                 "theoretical_upper": bound,
-                "reg_x": report.reg_x,
-                "reg_y": report.reg_y,
-                "social": report.social,
-                "max_ind": report.max_individual,
-                "dreg_x": report.dreg_x,
-                "dreg_y": report.dreg_y,
-                "nash_gap": rows[-1]["nash_gap"] if rows else 0.0,
+                **final,
             }
         )
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary)
@@ -351,15 +360,14 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     checks = []
     for preset in cfg.presets:
         rp = preset_rates(preset, payoffs.m, payoffs.n)
-        _, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, cfg.horizon)
-        target, measured, bound = _upper_target(preset, meter.report(), cfg, payoffs.m, payoffs.n)
+        row, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon)
+        target, measured, bound = _upper_target(preset, row, cfg, payoffs.m, payoffs.n)
         checks.append(
             CheckResult(f"upper[{target}]", preset, measured, bound, "<=", measured <= bound)
         )
         floor = floor_of(payoffs.m, rp.eta_x, cfg.horizon)
         tuned = adversarial_matrix(payoffs.m, payoffs.n, floor.delta_star)
-        _, lb_meter = run_metered(tuned, cfg.algorithm, rp, cfg.horizon, cfg.horizon)
-        lb = getattr(lb_meter, floor_metric)
+        lb = run_metered(tuned, cfg.algorithm, rp, cfg.horizon)[0][floor_metric]
         passed = lb >= floor.value - LOWER_SLACK
         checks.append(CheckResult(f"lower[{floor_metric}]", preset, lb, floor.value, ">=", passed))
         if averaged:
@@ -369,22 +377,10 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
                     CheckResult(f"gap[{label}]", preset, worst, const, "<=", worst <= const)
                 )
     out = Path(cfg.out_dir)
-    rows_out = [
-        {
-            "check": c.check,
-            "preset": c.preset,
-            "measured": c.measured,
-            "bound": c.bound,
-            "relation": c.relation,
-            "result": c.passed,
-        }
-        for c in checks
-    ]
-    write_csv(out / "verify_report.csv", VERIFY_COLUMNS, rows_out)
-    report_txt = out / "verify_report.txt"
-    report_txt.parent.mkdir(parents=True, exist_ok=True)
+    rows = [{**vars(c), "result": c.passed} for c in checks]
+    write_csv(out / "verify_report.csv", VERIFY_COLUMNS, rows)
     report = VerifyReport(tuple(checks))
-    report_txt.write_text("\n".join(report.lines()) + "\n")
+    (out / "verify_report.txt").write_text("\n".join(report.lines()) + "\n")
     return report
 
 

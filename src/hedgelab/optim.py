@@ -28,6 +28,7 @@ from .rates import (
     TransformedParams,
     bound_tables,
     from_transformed,
+    social_table,
 )
 
 # Half-width of the box that keeps every log coordinate finite.
@@ -37,13 +38,6 @@ ARMIJO = 1e-4
 DECREMENT_TOL = 1e-15
 # The min-max bisection stops once the two surfaces agree to this relative gap.
 BALANCE_TOL = 1e-12
-
-
-def _social_terms(b: BoundInputs):
-    """The social bound at zero slack, a posynomial in (log a_x, log a_y) only."""
-    coefs = np.array([b.log_m, b.log_n_plus, b.log_n, b.log_m_plus])
-    expos = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-    return coefs, expos
 
 
 def _eval_posy(coefs: np.ndarray, expos: np.ndarray, z: np.ndarray):
@@ -178,7 +172,7 @@ def minimize(
     z0 = _default_start(b)
 
     if objective == "social":
-        coefs, expos = _social_terms(b)
+        coefs, expos = social_table(b)
         z, iters, converged = _newton(coefs, expos, z0[:2], opts.max_iters)
         point = TransformedParams(math.exp(z[0]), math.exp(z[1]), 0.0, 0.0)
         value = _eval_posy(coefs, expos, z)[0]

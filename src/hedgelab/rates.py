@@ -169,6 +169,14 @@ def social_bound_terms(rp: RateParams, b: BoundInputs):
     return term_x, term_y, term_x + term_y
 
 
+def social_table(b: BoundInputs):
+    """The social bound at zero slack as a posynomial table over (a_x, a_y):
+    log m / a_x + (log n + 1/2) a_x + log n / a_y + (log m + 1/2) a_y."""
+    coefs = np.array([b.log_m, b.log_n_plus, b.log_n, b.log_m_plus])
+    expos = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    return coefs, expos
+
+
 def individual_bounds(rp: RateParams, b: BoundInputs):
     """Per-player regret bounds (x_bound, y_bound) for a feasible plan.
 

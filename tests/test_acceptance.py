@@ -30,6 +30,7 @@ from hedgelab import (
     minimize_unaware_coefficients,
     play_match,
     preset_rates,
+    record_match,
     theoretical_upper,
 )
 from hedgelab.harness import ExperimentConfig, run_experiment, run_metered
@@ -56,7 +57,7 @@ def test_c01_trajectory_matches_closed_form():
             for eta_y in (0.1, 0.5):
                 for delta in (0.1, 1.0):
                     a = adversarial_matrix(m, n, delta)
-                    trace = play_match(
+                    trace = record_match(
                         a, OptimisticHedge(m, eta_x), OptimisticHedge(n, eta_y), HORIZON
                     )
                     ts = np.arange(2.0, HORIZON + 1.0)
@@ -83,7 +84,7 @@ def test_c02_upper_bound_compliance():
             bound = theoretical_upper(preset, m, n)
             target = PRESET_TARGETS[preset]
             for inst in instances:
-                _, meter = run_metered(inst, "hedge", rp, HORIZON, HORIZON)
+                _, meter = run_metered(inst, "hedge", rp, HORIZON)
                 rep = meter.report()
                 measured = {
                     "social": rep.social,
@@ -117,7 +118,6 @@ def test_c03_adversarial_floor():
                 OptimisticHedge(3, eta),
                 HORIZON,
                 observer=meter,
-                record=False,
             )
             worst_margin = min(worst_margin, meter.reg_x - lb.value)
     ok = spots_ok and worst_margin >= -1e-9
@@ -136,7 +136,7 @@ def test_c04_social_regret_sandwich():
         lb = external_regret_lower_bound(m, 0.5, HORIZON)
         a = adversarial_matrix(m, m, lb.delta_star)
         rp = preset_rates("U-Social", m, m)
-        _, meter = run_metered(a, "hedge", rp, HORIZON, HORIZON)
+        _, meter = run_metered(a, "hedge", rp, HORIZON)
         low = 2.0 * lb.value
         high = theoretical_upper("U-Social", m, m)
         social = meter.reg_x + meter.reg_y
@@ -268,7 +268,7 @@ def test_c09_dynamic_regret_sandwich():
         lb = dynamic_regret_lower_bound(m, 0.5, HORIZON)
         a = adversarial_matrix(m, m, lb.delta_star)
         rp = preset_rates("U-Social", m, m)
-        _, meter = run_metered(a, "averaged", rp, HORIZON, HORIZON)
+        _, meter = run_metered(a, "averaged", rp, HORIZON)
         upper = theoretical_upper("U-Social", m, m, HORIZON, dynamic=True)
         results.append((m, lb.value, meter.dreg_x, upper))
     ok = spot_ok and all(lo - 1e-9 <= d <= hi for _, lo, d, hi in results)

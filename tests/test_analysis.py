@@ -15,6 +15,7 @@ from hedgelab import (
     matching_pennies,
     nash_gap,
     play_match,
+    record_match,
     regret_report,
 )
 from hedgelab.errors import DimensionMismatchError
@@ -24,7 +25,7 @@ from hedgelab.rates import RateParams
 
 def hedge_match(m, n, eta_x, eta_y, delta, horizon):
     a = adversarial_matrix(m, n, delta)
-    return a, play_match(a, OptimisticHedge(m, eta_x), OptimisticHedge(n, eta_y), horizon)
+    return a, record_match(a, OptimisticHedge(m, eta_x), OptimisticHedge(n, eta_y), horizon)
 
 
 def test_zero_horizon_report_is_all_zero():
@@ -36,7 +37,7 @@ def test_zero_horizon_report_is_all_zero():
 
 def test_zero_matrix_play_has_no_regret():
     a = make_payoff_matrix(3, 3, np.zeros(9))
-    trace = play_match(a, OptimisticHedge(3, 0.5), OptimisticHedge(3, 0.5), 40)
+    trace = record_match(a, OptimisticHedge(3, 0.5), OptimisticHedge(3, 0.5), 40)
     report = regret_report(trace)
     assert report.reg_x == 0.0 and report.reg_y == 0.0
     assert report.dreg_x == 0.0 and report.dreg_y == 0.0
@@ -45,8 +46,10 @@ def test_zero_matrix_play_has_no_regret():
 def test_meter_matches_trace_report():
     rng = np.random.default_rng(14)
     a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
+    # the same match twice: live-metered, then recorded
     meter = RegretMeter(a)
-    trace = play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter)
+    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter)
+    trace = record_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120)
     report = regret_report(trace)
     assert meter.reg_x == report.reg_x
     assert meter.reg_y == report.reg_y
@@ -59,7 +62,7 @@ def test_meter_matches_trace_report():
 def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
     rng = np.random.default_rng(16)
     a = make_payoff_matrix(6, 9, rng.uniform(-1, 1, 54))
-    trace = play_match(a, AveragedHedge(6, 0.4), AveragedHedge(9, 0.3), 300)
+    trace = record_match(a, AveragedHedge(6, 0.4), AveragedHedge(9, 0.3), 300)
     meter = RegretMeter(a)
     assert meter.worst_scaled_pair_gap == -math.inf
     for i in range(trace.horizon):
@@ -75,7 +78,8 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
     rng = np.random.default_rng(15)
     a = make_payoff_matrix(4, 6, rng.uniform(-1, 1, 24))
     meter = RegretMeter(a)
-    trace = play_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90, observer=meter)
+    play_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90, observer=meter)
+    trace = record_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90)
     x_bar = trace.x.mean(axis=0)
     y_bar = trace.y.mean(axis=0)
     assert meter.averaged_pair_gap == pytest.approx(nash_gap(a, x_bar, y_bar), abs=1e-12)
@@ -207,7 +211,7 @@ def test_measured_regret_clears_external_floor():
     m, eta, horizon = 2, 0.25, 400
     lb = external_regret_lower_bound(m, eta, horizon)
     a = adversarial_matrix(m, m, lb.delta_star)
-    _, meter = run_metered(a, "hedge", RateParams(eta, eta, 0.5, 0.5), horizon, horizon)
+    _, meter = run_metered(a, "hedge", RateParams(eta, eta, 0.5, 0.5), horizon)
     assert meter.reg_x >= lb.value - 1e-9
 
 
@@ -215,5 +219,5 @@ def test_measured_dynamic_regret_clears_floor():
     m, eta, horizon = 2, 0.5, 300
     lb = dynamic_regret_lower_bound(m, eta, horizon)
     a = adversarial_matrix(m, m, lb.delta_star)
-    _, meter = run_metered(a, "averaged", RateParams(eta, eta, 0.5, 0.5), horizon, horizon)
+    _, meter = run_metered(a, "averaged", RateParams(eta, eta, 0.5, 0.5), horizon)
     assert meter.dreg_x >= lb.value - 1e-9

@@ -57,13 +57,20 @@ def test_simulate_writes_outputs(tmp_path, capsys):
 
 
 def test_config_file_flags_take_precedence(tmp_path):
+    game = tmp_path / "game.txt"
+    game.write_text("2 3\n0 0.5 -0.5\n0.25 0 1\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("m=2\nn=4\nT=10\npresets=U-Social\nout=%s\n" % tmp_path)
-    rc = main(["simulate", "--config", str(cfg), "--T", "25"])
+    cfg.write_text(
+        "instance=file\nmatrix_file=%s\nT=10\npresets=U-Social\nout=%s\n"
+        % (tmp_path / "absent.txt", tmp_path)
+    )
+    argv = ["simulate", "--config", str(cfg), "--T", "25", "--preset", "A-Social"]
+    rc = main(argv + ["--matrix-file", str(game)])
     assert rc == 0
-    with open(tmp_path / "metrics_U-Social.csv", newline="") as fh:
+    with open(tmp_path / "metrics_A-Social.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[-1][0] == "25"
+    assert not (tmp_path / "metrics_U-Social.csv").exists()
 
 
 def test_simulate_config_error(tmp_path, capsys):

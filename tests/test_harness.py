@@ -1,10 +1,11 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hedgelab import OptimisticHedge, adversarial_matrix, play_match, regret_report
+from hedgelab import OptimisticHedge, adversarial_matrix, record_match, regret_report
 from hedgelab.analysis import RegretMeter
 from hedgelab.errors import ConfigError, InvalidGammaError
 from hedgelab.harness import (
@@ -100,6 +101,14 @@ def test_run_experiment_single_round(tmp_path):
     assert len(rows) == 2 and rows[1][0] == "1"
 
 
+def test_run_experiment_zero_rounds(tmp_path):
+    cfg = ExperimentConfig(m=2, n=2, horizon=0, presets=("U-Social",), out_dir=str(tmp_path))
+    (row,) = run_experiment(cfg)
+    assert row["measured_target"] == row["nash_gap"] == 0.0
+    assert read_csv(tmp_path / "metrics_U-Social.csv") == [list(METRIC_COLUMNS)]
+    assert read_csv(tmp_path / "summary.csv")[1][2] == "0.000000000000000e+00"
+
+
 def test_run_experiment_outputs_are_reproducible(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -128,16 +137,71 @@ def test_metrics_cadence(tmp_path):
     assert [r[0] for r in rows[1:]] == ["7", "14", "21", "28", "35", "40"]
 
 
+def test_run_experiment_snapshots_once_per_row(tmp_path, monkeypatch):
+    calls = []
+    snapshot = RegretMeter.snapshot
+
+    def counting_snapshot(self, *args, **kwargs):
+        calls.append(self.rounds)
+        return snapshot(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
+    cfg = ExperimentConfig(
+        m=2, n=4, horizon=40, presets=("U-Social", "A-Social"), out_dir=str(tmp_path), cadence=7
+    )
+    run_experiment(cfg)
+    assert calls == [7, 14, 21, 28, 35, 40] * 2
+
+
+@pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
+def test_summary_metrics_equal_last_metric_rows(tmp_path, algorithm):
+    presets = ("U-Social", "A-Social")
+    cfg = ExperimentConfig(
+        m=2,
+        n=5,
+        horizon=40,
+        presets=presets,
+        algorithm=algorithm,
+        out_dir=str(tmp_path),
+        cadence=7,
+    )
+    run_experiment(cfg)
+    summary = read_csv(tmp_path / "summary.csv")
+    assert [row[0] for row in summary[1:]] == list(presets)
+    metric_cols = METRIC_COLUMNS[1:]
+    for row in summary[1:]:
+        cells = dict(zip(SUMMARY_COLUMNS, row))
+        header, *rows = read_csv(tmp_path / f"metrics_{cells['preset']}.csv")
+        last = dict(zip(header, rows[-1]))
+        assert last["t"] == "40"
+        assert [cells[c] for c in metric_cols] == [last[c] for c in metric_cols]
+
+
+def test_run_experiment_memory_does_not_grow_with_horizon(tmp_path):
+    peaks = []
+    for horizon in (1000, 10000):
+        cfg = ExperimentConfig(
+            m=2, n=2, horizon=horizon, presets=("U-Social",), out_dir=str(tmp_path / str(horizon))
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
+
 def test_run_metered_matches_recorded_trace():
     a = adversarial_matrix(3, 5, 0.8)
     rp = RateParams(0.4, 0.2, 0.5, 0.5)
-    rows, meter = run_metered(a, "hedge", rp, 60, 60)
-    trace = play_match(a, OptimisticHedge(3, 0.4), OptimisticHedge(5, 0.2), 60)
+    row, meter = run_metered(a, "hedge", rp, 60)
+    trace = record_match(a, OptimisticHedge(3, 0.4), OptimisticHedge(5, 0.2), 60)
     report = regret_report(trace)
     assert meter.reg_x == report.reg_x
     assert meter.reg_y == report.reg_y
     assert meter.dreg_x == report.dreg_x
-    assert rows[-1]["t"] == 60
+    assert row["t"] == 60
 
 
 def test_averaged_experiment_summary(tmp_path):

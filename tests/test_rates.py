@@ -27,6 +27,7 @@ from hedgelab.errors import (
     OutOfDomainError,
     ZeroRateError,
 )
+from hedgelab.rates import social_table
 
 SQ3 = math.sqrt(3.0)
 
@@ -248,6 +249,19 @@ def test_social_terms_at_aware_optimum_match_closed_form():
                 b.log_m_plus * b.log_n
             )
             assert total == pytest.approx(closed, rel=1e-12)
+
+
+def test_social_table_is_social_bound_at_zero_slack():
+    rng = np.random.default_rng(7)
+    for m, n in ((2, 2), (3, 40), (100, 7), (10000, 2)):
+        b = BoundInputs.from_actions(m, n)
+        coefs, expos = social_table(b)
+        for _ in range(50):
+            tp = random_transformed(rng)
+            point = np.array([tp.a_x, tp.a_y])
+            value = float(coefs @ np.prod(point**expos, axis=1))
+            zero_slack = from_transformed(TransformedParams(tp.a_x, tp.a_y, 0.0, 0.0))
+            assert value == pytest.approx(social_bound_terms(zero_slack, b)[2], rel=1e-12)
 
 
 def test_theoretical_upper_values():

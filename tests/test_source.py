@@ -1,0 +1,52 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import hedgelab
+
+PACKAGE = Path(hedgelab.__file__).resolve().parent
+
+
+def unused_imports(source: str):
+    """Names a module imports but never reads; an `__all__` entry counts as
+    a read, and `from __future__` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_finder():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "from .game import play_match\n"
+        "__all__ = ['play_match']\n"
+        "x = np.zeros(os.sep)\n"
+    )
+    assert unused_imports(source) == [(4, "dataclass"), (4, "field")]
+
+
+def test_package_has_no_unused_imports():
+    found = {
+        path.name: unused
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert not found
