@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .game import MatchTrace, PayoffMatrix
+from .game import MatchTrace, PayoffMatrix, gradients
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,8 @@ def regret_report(trace: MatchTrace) -> RegretReport:
 def nash_gap(payoffs: PayoffMatrix, x, y) -> float:
     """How far the pair (x, y) is from equilibrium: the row player's best
     improvement plus the column player's best improvement."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (payoffs.m,) or y.shape != (payoffs.n,):
-        raise DimensionMismatchError(
-            f"strategies of shapes {x.shape}/{y.shape} do not match a "
-            f"{payoffs.m}x{payoffs.n} game"
-        )
-    return float((payoffs.entries @ y).max()) - float((payoffs.entries.T @ x).min())
+    g, loss = gradients(payoffs, x, y)
+    return float(g.max()) - float(loss.min())
 
 
 def adversarial_top_prob(num_actions: int, rate: float, delta: float, t: int) -> float:

@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, MatrixFormatError
+from .errors import ConfigError
 from .game import load_matrix_file
 from .harness import (
+    ALGORITHMS,
     CONFIG_KEYS,
+    INSTANCES,
     build_config,
     load_config_file,
     run_experiment,
@@ -26,18 +28,19 @@ from .rates import PRESETS, PRESET_TARGETS, preset_rates, theoretical_upper
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags for the config keys; values stay strings for build_config."""
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--m", type=int, help="row player's action count")
-    parser.add_argument("--n", type=int, help="column player's action count")
-    parser.add_argument("--T", type=int, help="number of rounds")
-    parser.add_argument("--delta", type=float, help="adversarial instance gap")
-    parser.add_argument("--instance", choices=["adversarial", "matching_pennies", "file"])
+    parser.add_argument("--m", help="row player's action count")
+    parser.add_argument("--n", help="column player's action count")
+    parser.add_argument("--T", help="number of rounds")
+    parser.add_argument("--delta", help="adversarial instance gap")
+    parser.add_argument("--instance", help=f"one of {', '.join(INSTANCES)}")
     parser.add_argument("--matrix-file", dest="matrix_file", help="path for instance=file")
     parser.add_argument("--preset", dest="presets", help="comma-separated preset names or 'all'")
-    parser.add_argument("--algo", choices=["hedge", "averaged"])
+    parser.add_argument("--algo", help=f"one of {', '.join(ALGORITHMS)}")
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
-        "--cadence", type=int, help="simulate: one metric row per k rounds; verify: every round"
+        "--cadence", help="simulate: one metric row per k rounds; verify: every round"
     )
 
 
@@ -45,10 +48,7 @@ def _gather_config(args) -> dict:
     """Config file values, overridden by every flag given; each flag's dest
     is its config key."""
     values = load_config_file(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            values[key] = str(value)
+    values.update((k, getattr(args, k)) for k in CONFIG_KEYS if getattr(args, k) is not None)
     return values
 
 
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
 def _cmd_matrix_check(args) -> int:
     try:
         payoffs = load_matrix_file(args.file)
-    except (MatrixFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"FAIL {args.file}: {exc}")
         return 1
     print(f"PASS {args.file}: {payoffs.m} x {payoffs.n} matrix, entries in [-1, 1]")

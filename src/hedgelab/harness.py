@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .analysis import (
@@ -23,7 +23,7 @@ from .errors import ConfigError, InvalidGammaError
 from .game import PayoffMatrix, adversarial_matrix, load_matrix_file, matching_pennies, play_match
 from .learners import AveragedHedge, OptimisticHedge
 from .optim import BoundInputs, minimize
-from .rates import PRESET_TARGETS, PRESETS, preset_rates, theoretical_upper
+from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theoretical_upper
 
 METRIC_COLUMNS = ("t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap")
 SUMMARY_COLUMNS = (
@@ -56,14 +56,14 @@ VERIFY_COLUMNS = ("check", "preset", "measured", "bound", "relation", "result")
 # Slack granted to measured-vs-floor comparisons, covering float summation drift.
 LOWER_SLACK = 1e-9
 
-CONFIG_KEYS = ("m", "n", "T", "delta", "instance", "matrix_file", "presets", "algo", "out", "cadence")
-
 INSTANCES = ("adversarial", "matching_pennies", "file")
 ALGORITHMS = ("hedge", "averaged")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Settings of one simulate/verify run; a bad field raises ConfigError."""
+
     m: int = 2
     n: int = 100
     horizon: int = 2000
@@ -74,6 +74,40 @@ class ExperimentConfig:
     algorithm: str = "hedge"
     out_dir: str = "results"
     cadence: int = 1
+
+    def __post_init__(self):
+        for key, value, choices in (
+            ("instance", self.instance, INSTANCES),
+            ("algo", self.algorithm, ALGORITHMS),
+        ):
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        if not (0.0 < self.delta <= 1.0):
+            raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
+        if not self.presets:
+            raise ConfigError("presets must name at least one preset")
+        for p in self.presets:
+            if p not in PRESETS:
+                raise ConfigError(f"unknown preset {p!r}")
+        if self.instance == "file" and not self.matrix_path:
+            raise ConfigError("instance=file needs matrix_file")
+        # the engine plays 0-round matches, so horizon alone may be 0
+        for name, minimum in (("m", 1), ("n", 1), ("horizon", 0), ("cadence", 1)):
+            value = getattr(self, name)
+            if value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        if self.instance == "adversarial" and (self.m < 2 or self.n < 2):
+            raise ConfigError(
+                f"adversarial instance needs m >= 2 and n >= 2, got ({self.m}, {self.n})"
+            )
+
+
+# The config keys (and CLI flag dests) named apart from their field; every
+# other field is a config key under its own name.
+_KEY_OF = {"horizon": "T", "matrix_path": "matrix_file", "algorithm": "algo", "out_dir": "out"}
+_FIELD_OF = {_KEY_OF.get(f.name, f.name): f for f in fields(ExperimentConfig)}
+CONFIG_KEYS = tuple(_FIELD_OF)
+_NOUNS = {int: "an integer", float: "a real number"}
 
 
 def load_config_file(path) -> dict:
@@ -94,63 +128,30 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _parse_int(values, key, default, minimum):
-    if key not in values:
-        return default
+def _parse(key: str, text: str):
+    """A config key's string value, typed as its ExperimentConfig default."""
+    kind = type(_FIELD_OF[key].default)
+    if kind is tuple:
+        return PRESETS if text == "all" else tuple(p.strip() for p in text.split(",") if p.strip())
+    if kind not in _NOUNS:
+        return text
     try:
-        v = int(values[key])
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from None
-    if v < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-    return v
+        raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {text!r}") from None
 
 
 def build_config(values: dict) -> ExperimentConfig:
-    """Typed config from raw string values (file contents and/or CLI flags)."""
+    """Checked config from raw string values (file contents and/or CLI flags);
+    a key not given keeps its ExperimentConfig default."""
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    instance = values.get("instance", "adversarial")
-    if instance not in INSTANCES:
-        raise ConfigError(f"instance must be one of {', '.join(INSTANCES)}, got {instance!r}")
-    algorithm = values.get("algo", "hedge")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algo must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
-    delta = 1.0
-    if "delta" in values:
-        try:
-            delta = float(values["delta"])
-        except ValueError:
-            raise ConfigError(f"delta must be a real number, got {values['delta']!r}") from None
-        if not (0.0 < delta <= 1.0):
-            raise ConfigError(f"delta must lie in (0, 1], got {delta}")
-    presets = PRESETS
-    if "presets" in values and values["presets"] != "all":
-        presets = tuple(p.strip() for p in values["presets"].split(",") if p.strip())
-        if not presets:
-            raise ConfigError("presets must name at least one preset")
-        for p in presets:
-            if p not in PRESETS:
-                raise ConfigError(f"unknown preset {p!r}")
-    matrix_path = values.get("matrix_file")
-    if instance == "file" and not matrix_path:
-        raise ConfigError("instance=file needs matrix_file")
-    cfg = ExperimentConfig(
-        m=_parse_int(values, "m", 2, 1),
-        n=_parse_int(values, "n", 100, 1),
-        horizon=_parse_int(values, "T", 2000, 1),
-        instance=instance,
-        delta=delta,
-        matrix_path=matrix_path,
-        presets=presets,
-        algorithm=algorithm,
-        out_dir=values.get("out", "results"),
-        cadence=_parse_int(values, "cadence", 1, 1),
-    )
-    if cfg.instance == "adversarial" and (cfg.m < 2 or cfg.n < 2):
-        raise ConfigError(f"adversarial instance needs m >= 2 and n >= 2, got ({cfg.m}, {cfg.n})")
-    return cfg
+    kwargs = {_FIELD_OF[key].name: _parse(key, text) for key, text in values.items()}
+    # verify's floors and the averaged dynamic's bound need at least one round
+    if kwargs.get("horizon", 1) < 1:
+        raise ConfigError(f"T must be >= 1, got {kwargs['horizon']}")
+    return ExperimentConfig(**kwargs)
 
 
 def instance_matrix(cfg: ExperimentConfig) -> PayoffMatrix:
@@ -234,7 +235,7 @@ def _upper_target(preset: str, row: dict, cfg: ExperimentConfig, m: int, n: int)
     bound only for the social presets."""
     if cfg.algorithm == "averaged":
         bound = ""
-        if preset in ("U-Social", "A-Social"):
+        if preset in SOCIAL_PRESETS:
             bound = theoretical_upper(preset, m, n, cfg.horizon, dynamic=True)
         return "max_dreg", max(row["dreg_x"], row["dreg_y"]), bound
     target = PRESET_TARGETS[preset]
@@ -348,10 +349,10 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     payoffs = instance_matrix(cfg)
     averaged = cfg.algorithm == "averaged"
     if averaged:
-        bad = [p for p in cfg.presets if p not in ("U-Social", "A-Social")]
+        bad = [p for p in cfg.presets if p not in SOCIAL_PRESETS]
         if bad:
             raise ConfigError(
-                "algorithm=averaged carries bounds only for U-Social and A-Social; "
+                f"algorithm=averaged carries bounds only for {' and '.join(SOCIAL_PRESETS)}; "
                 f"cannot verify: {', '.join(bad)}"
             )
         floor_of, floor_metric = dynamic_regret_lower_bound, "dreg_x"

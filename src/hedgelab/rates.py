@@ -292,6 +292,9 @@ PRESET_TARGETS = {
     "A-MaxInd-Num": "max_ind",
 }
 
+# Presets whose bound is on social regret; only these carry a dynamic-regret bound.
+SOCIAL_PRESETS = tuple(p for p in PRESETS if PRESET_TARGETS[p] == "social")
+
 _SQ3 = math.sqrt(3.0)
 
 
@@ -360,7 +363,7 @@ def theoretical_upper(
     """
     _check_preset(name)
     if dynamic:
-        if name not in ("U-Social", "A-Social"):
+        if name not in SOCIAL_PRESETS:
             raise ValueError(f"preset {name} carries no dynamic-regret bound")
         if horizon is None:
             raise MissingHorizonError("dynamic bounds need a horizon")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import hedgelab
-from hedgelab.cli import main
+from hedgelab.cli import _add_config_flags, _gather_config, main
+from hedgelab.harness import CONFIG_KEYS, ExperimentConfig, build_config, load_config_file
 
 
 def test_rates_prints_preset_table(capsys):
@@ -78,6 +80,42 @@ def test_simulate_config_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", [["--m", "abc"], ["--cadence", "0"], ["--algo", "bogus"]])
+def test_simulate_bad_flag_is_one_line_error(flag, tmp_path, capsys):
+    assert main(["simulate", *flag, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+# one value per config key, none of them its default
+CONFIG_SAMPLES = {
+    "m": "3",
+    "n": "5",
+    "T": "40",
+    "delta": "0.5",
+    "instance": "matching_pennies",
+    "matrix_file": "game.txt",
+    "presets": "U-Social,A-Social",
+    "algo": "averaged",
+    "out": "runs",
+    "cadence": "7",
+}
+
+
+def test_config_flag_and_file_values_parse_alike(tmp_path):
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    flag_of = {action.dest: action.option_strings[0] for action in parser._actions}
+    assert set(CONFIG_SAMPLES) == set(CONFIG_KEYS)
+    for key, text in CONFIG_SAMPLES.items():
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key}={text}\n")
+        from_file = build_config(load_config_file(path))
+        from_flag = build_config(_gather_config(parser.parse_args([flag_of[key], text])))
+        assert from_file == from_flag != ExperimentConfig(), key
 
 
 def test_verify_exits_zero_on_pass(tmp_path, capsys):

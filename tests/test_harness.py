@@ -57,6 +57,29 @@ def test_build_config_rejects(values):
         build_config(values)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"cadence": 0},
+        {"cadence": -3},
+        {"algorithm": "newton"},
+        {"instance": "random"},
+        {"presets": ()},
+        {"presets": ("U-Social", "No-Such")},
+        {"horizon": -5},
+        {"delta": 0.0},
+        {"instance": "file"},
+        {"m": 1},
+        {"instance": "matching_pennies", "n": 0},
+    ],
+)
+def test_experiment_config_rejects(bad):
+    good = dict(m=2, n=3, horizon=10, presets=("U-Social",))
+    ExperimentConfig(**good)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**good, **bad})
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# flagship run\nm = 2\nn=16\nT=50  # rounds\n\npresets=U-Social\n")

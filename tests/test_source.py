@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import hedgelab
+from hedgelab.cli import _add_config_flags
+from hedgelab.harness import CONFIG_KEYS
 
 PACKAGE = Path(hedgelab.__file__).resolve().parent
 
@@ -50,3 +53,12 @@ def test_package_has_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert not found
+
+
+def test_config_flags_are_the_config_keys():
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    flags = [action for action in parser._actions if action.dest not in ("help", "config")]
+    assert {action.dest for action in flags} == set(CONFIG_KEYS)
+    # flag values stay strings, so build_config parses them as it parses file values
+    assert all(action.type is None and action.choices is None for action in flags)
