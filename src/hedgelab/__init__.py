@@ -8,7 +8,6 @@ harness that verifies measured play against the theory.
 from .analysis import (
     LowerBoundValue,
     RegretMeter,
-    RegretReport,
     adversarial_top_prob,
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
@@ -66,7 +65,6 @@ __all__ = [
     "PayoffMatrix",
     "RateParams",
     "RegretMeter",
-    "RegretReport",
     "TransformedParams",
     "UniformPlayer",
     "adversarial_matrix",

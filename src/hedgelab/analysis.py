@@ -10,23 +10,6 @@ import numpy as np
 from .game import MatchTrace, PayoffMatrix, gradients
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Cumulative regret metrics of a finished match.
-
-    reg_x / reg_y compare against the best fixed action in hindsight; the
-    dynamic variants (dreg_x / dreg_y) compare against the best action of
-    each round separately, so dreg >= reg always.
-    """
-
-    reg_x: float
-    reg_y: float
-    social: float
-    max_individual: float
-    dreg_x: float
-    dreg_y: float
-
-
 class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
@@ -64,46 +47,22 @@ class RegretMeter:
         self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, t * self.last_pair_gap)
         self.rounds = t
 
-    @property
-    def reg_x(self) -> float:
-        if self.rounds == 0:
-            return 0.0
-        return float(self.cum_gain.max()) - self.gain_total
-
-    @property
-    def reg_y(self) -> float:
-        if self.rounds == 0:
-            return 0.0
-        return self.loss_total - float(self.cum_loss.min())
-
-    @property
-    def averaged_pair_gap(self) -> float:
-        """Nash gap of the time-averaged strategy pair seen so far."""
-        if self.rounds == 0:
-            return 0.0
-        return (float(self.cum_gain.max()) - float(self.cum_loss.min())) / self.rounds
-
-    def report(self) -> RegretReport:
-        rx, ry = self.reg_x, self.reg_y
-        return RegretReport(
-            reg_x=rx,
-            reg_y=ry,
-            social=rx + ry,
-            max_individual=max(rx, ry),
-            dreg_x=self.dreg_x,
-            dreg_y=self.dreg_y,
-        )
-
     def snapshot(self, gap_mode: str = "averaged_pair") -> dict:
-        """Metric row for the current round; gap_mode picks which pair the
-        nash_gap column describes ("averaged_pair" or "last_pair")."""
+        """Metric row (harness.METRIC_COLUMNS) at the current round, all 0
+        before the first. reg_x / reg_y compare against the best fixed action
+        in hindsight, dreg_x / dreg_y against each round's best action, so
+        dreg >= reg; gap_mode picks the pair nash_gap describes, the
+        time-averaged one ("averaged_pair") or this round's ("last_pair")."""
+        best_gain = float(self.cum_gain.max())
+        least_loss = float(self.cum_loss.min())
         if gap_mode == "averaged_pair":
-            gap = self.averaged_pair_gap
+            gap = (best_gain - least_loss) / self.rounds if self.rounds else 0.0
         elif gap_mode == "last_pair":
             gap = self.last_pair_gap
         else:
             raise ValueError(f"unknown gap_mode {gap_mode!r}")
-        rx, ry = self.reg_x, self.reg_y
+        rx = best_gain - self.gain_total
+        ry = self.loss_total - least_loss
         return {
             "t": self.rounds,
             "reg_x": rx,
@@ -116,12 +75,12 @@ class RegretMeter:
         }
 
 
-def regret_report(trace: MatchTrace) -> RegretReport:
-    """Regret metrics of a recorded match, identical to live metering."""
+def regret_report(trace: MatchTrace) -> dict:
+    """Final metric row of a recorded match, identical to live metering."""
     meter = RegretMeter(trace.payoffs)
     for i in range(trace.horizon):
         meter.update(i + 1, trace.x[i], trace.y[i], trace.gains[i], trace.losses[i])
-    return meter.report()
+    return meter.snapshot()
 
 
 def nash_gap(payoffs: PayoffMatrix, x, y) -> float:

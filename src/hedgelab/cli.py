@@ -18,6 +18,7 @@ from .harness import (
     ALGORITHMS,
     CONFIG_KEYS,
     INSTANCES,
+    _parse,
     build_config,
     load_config_file,
     run_experiment,
@@ -53,8 +54,9 @@ def _gather_config(args) -> dict:
 
 
 def _cmd_rates(args) -> int:
-    rp = preset_rates(args.preset, args.m, args.n)
-    upper = theoretical_upper(args.preset, args.m, args.n)
+    m, n = _parse("m", args.m), _parse("n", args.n)
+    rp = preset_rates(args.preset, m, n)
+    upper = theoretical_upper(args.preset, m, n)
     print(f"preset       {args.preset}")
     print(f"target       {PRESET_TARGETS[args.preset]}")
     print(f"eta_x        {rp.eta_x:.15e}")
@@ -86,7 +88,8 @@ def _cmd_sweep(args) -> int:
             grid = tuple(float(v) for v in args.gamma_grid.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"gamma-grid must be comma-separated reals, got {args.gamma_grid!r}")
-    rows = sweep_gamma(args.m, args.n, grid=grid, out_path=args.out)
+    m, n = _parse("m", args.m), _parse("n", args.n)
+    rows = sweep_gamma(m, n, grid=grid, out_path=args.out)
     for row in rows:
         tag = f"gamma={row['gamma']}" if row["objective"] == "weighted" else "max"
         print(f"{tag}: x_bound={row['x_bound']:.9g} y_bound={row['y_bound']:.9g}")
@@ -123,15 +126,15 @@ def main(argv=None) -> int:
 
     p_rates = sub.add_parser("rates", help="print a preset's rates and bound")
     p_rates.add_argument("preset", choices=PRESETS)
-    p_rates.add_argument("--m", type=int, required=True)
-    p_rates.add_argument("--n", type=int, required=True)
+    p_rates.add_argument("--m", required=True)
+    p_rates.add_argument("--n", required=True)
 
     p_sim = sub.add_parser("simulate", help="run presets and write metric CSVs")
     _add_config_flags(p_sim)
 
     p_sweep = sub.add_parser("sweep-gamma", help="tradeoff sweep over bound weights")
-    p_sweep.add_argument("--m", type=int, required=True)
-    p_sweep.add_argument("--n", type=int, required=True)
+    p_sweep.add_argument("--m", required=True)
+    p_sweep.add_argument("--n", required=True)
     p_sweep.add_argument("--gamma-grid", dest="gamma_grid", help="comma-separated weights")
     p_sweep.add_argument("--out", help="CSV output path")
 

@@ -91,11 +91,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown preset {p!r}")
         if self.instance == "file" and not self.matrix_path:
             raise ConfigError("instance=file needs matrix_file")
-        # the engine plays 0-round matches, so horizon alone may be 0
-        for name, minimum in (("m", 1), ("n", 1), ("horizon", 0), ("cadence", 1)):
-            value = getattr(self, name)
-            if value < minimum:
-                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        # verify's floors and the averaged dynamic's bound need at least one round
+        counts = (("m", self.m), ("n", self.n), ("T", self.horizon), ("cadence", self.cadence))
+        for key, value in counts:
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.instance == "adversarial" and (self.m < 2 or self.n < 2):
             raise ConfigError(
                 f"adversarial instance needs m >= 2 and n >= 2, got ({self.m}, {self.n})"
@@ -148,9 +148,6 @@ def build_config(values: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {_FIELD_OF[key].name: _parse(key, text) for key, text in values.items()}
-    # verify's floors and the averaged dynamic's bound need at least one round
-    if kwargs.get("horizon", 1) < 1:
-        raise ConfigError(f"T must be >= 1, got {kwargs['horizon']}")
     return ExperimentConfig(**kwargs)
 
 

@@ -72,7 +72,6 @@ class OptimisticHedge:
         self.rate = rate
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
-        self.round = 1
 
     def next_strategy(self) -> np.ndarray:
         if self.rate == 0.0:
@@ -98,7 +97,6 @@ class OptimisticHedge:
         """Count an already-checked utility vector; u must not be mutated later."""
         self.cum += u
         self.last = u
-        self.round += 1
 
 
 class UniformPlayer:

@@ -84,13 +84,8 @@ def test_c02_upper_bound_compliance():
             bound = theoretical_upper(preset, m, n)
             target = PRESET_TARGETS[preset]
             for inst in instances:
-                _, meter = run_metered(inst, "hedge", rp, HORIZON)
-                rep = meter.report()
-                measured = {
-                    "social": rep.social,
-                    "reg_x": rep.reg_x,
-                    "max_ind": rep.max_individual,
-                }[target]
+                row, _ = run_metered(inst, "hedge", rp, HORIZON)
+                measured = row[target]
                 runs += 1
                 min_slack = min(min_slack, bound - measured)
                 if not measured < bound:
@@ -119,7 +114,7 @@ def test_c03_adversarial_floor():
                 HORIZON,
                 observer=meter,
             )
-            worst_margin = min(worst_margin, meter.reg_x - lb.value)
+            worst_margin = min(worst_margin, meter.snapshot()["reg_x"] - lb.value)
     ok = spots_ok and worst_margin >= -1e-9
     _line(
         "C3 adversarial floor",
@@ -136,10 +131,10 @@ def test_c04_social_regret_sandwich():
         lb = external_regret_lower_bound(m, 0.5, HORIZON)
         a = adversarial_matrix(m, m, lb.delta_star)
         rp = preset_rates("U-Social", m, m)
-        _, meter = run_metered(a, "hedge", rp, HORIZON)
+        row, _ = run_metered(a, "hedge", rp, HORIZON)
         low = 2.0 * lb.value
         high = theoretical_upper("U-Social", m, m)
-        social = meter.reg_x + meter.reg_y
+        social = row["social"]
         results.append((m, low, social, high))
     ok = all(low - 1e-9 <= social <= high for _, low, social, high in results)
     spans = "; ".join(f"m={m}: {lo:.3f} <= {s:.3f} <= {hi:.3f}" for m, lo, s, hi in results)

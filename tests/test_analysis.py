@@ -31,16 +31,16 @@ def hedge_match(m, n, eta_x, eta_y, delta, horizon):
 def test_zero_horizon_report_is_all_zero():
     _, trace = hedge_match(2, 2, 0.5, 0.5, 1.0, 0)
     report = regret_report(trace)
-    assert report.reg_x == report.reg_y == report.social == 0.0
-    assert report.dreg_x == report.dreg_y == report.max_individual == 0.0
+    assert report["reg_x"] == report["reg_y"] == report["social"] == 0.0
+    assert report["dreg_x"] == report["dreg_y"] == report["max_ind"] == 0.0
 
 
 def test_zero_matrix_play_has_no_regret():
     a = make_payoff_matrix(3, 3, np.zeros(9))
     trace = record_match(a, OptimisticHedge(3, 0.5), OptimisticHedge(3, 0.5), 40)
     report = regret_report(trace)
-    assert report.reg_x == 0.0 and report.reg_y == 0.0
-    assert report.dreg_x == 0.0 and report.dreg_y == 0.0
+    assert report["reg_x"] == 0.0 and report["reg_y"] == 0.0
+    assert report["dreg_x"] == 0.0 and report["dreg_y"] == 0.0
 
 
 def test_meter_matches_trace_report():
@@ -51,12 +51,13 @@ def test_meter_matches_trace_report():
     play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter)
     trace = record_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120)
     report = regret_report(trace)
-    assert meter.reg_x == report.reg_x
-    assert meter.reg_y == report.reg_y
-    assert report.social == report.reg_x + report.reg_y
-    assert report.max_individual == max(report.reg_x, report.reg_y)
-    assert report.dreg_x >= report.reg_x - 1e-10
-    assert report.dreg_y >= report.reg_y - 1e-10
+    row = meter.snapshot()
+    assert row["reg_x"] == report["reg_x"]
+    assert row["reg_y"] == report["reg_y"]
+    assert report["social"] == report["reg_x"] + report["reg_y"]
+    assert report["max_ind"] == max(report["reg_x"], report["reg_y"])
+    assert report["dreg_x"] >= report["reg_x"] - 1e-10
+    assert report["dreg_y"] >= report["reg_y"] - 1e-10
 
 
 def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
@@ -82,10 +83,11 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
     trace = record_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90)
     x_bar = trace.x.mean(axis=0)
     y_bar = trace.y.mean(axis=0)
-    assert meter.averaged_pair_gap == pytest.approx(nash_gap(a, x_bar, y_bar), abs=1e-12)
+    averaged_pair_gap = meter.snapshot("averaged_pair")["nash_gap"]
+    assert averaged_pair_gap == pytest.approx(nash_gap(a, x_bar, y_bar), abs=1e-12)
     # regret-to-equilibrium conversion
     report = regret_report(trace)
-    assert meter.averaged_pair_gap <= report.social / trace.horizon + 1e-9
+    assert averaged_pair_gap <= report["social"] / trace.horizon + 1e-9
 
 
 def test_snapshot_rows():
@@ -98,6 +100,42 @@ def test_snapshot_rows():
     assert meter.snapshot("last_pair")["nash_gap"] != row["nash_gap"]
     with pytest.raises(ValueError):
         meter.snapshot("nearest_pair")
+
+
+def test_snapshot_matches_reference_formulas():
+    rng = np.random.default_rng(21)
+    a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
+    meter = RegretMeter(a)
+
+    def check(t):
+        # the former reg_x / reg_y / averaged_pair_gap reads, written inline
+        best_gain, least_loss = float(meter.cum_gain.max()), float(meter.cum_loss.min())
+        reg_x = best_gain - meter.gain_total if t else 0.0
+        reg_y = meter.loss_total - least_loss if t else 0.0
+        averaged = (best_gain - least_loss) / t if t else 0.0
+        want = {
+            "t": t,
+            "reg_x": reg_x,
+            "reg_y": reg_y,
+            "social": reg_x + reg_y,
+            "max_ind": max(reg_x, reg_y),
+            "dreg_x": meter.dreg_x,
+            "dreg_y": meter.dreg_y,
+        }
+        assert meter.snapshot("averaged_pair") == {**want, "nash_gap": averaged}, t
+        assert meter.snapshot("last_pair") == {**want, "nash_gap": meter.last_pair_gap}, t
+
+    checked = [0]
+    check(0)
+
+    def observer(t, x, y, g, loss):
+        meter.update(t, x, y, g, loss)
+        if t in (1, 37):
+            check(t)
+            checked.append(t)
+
+    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 37, observer)
+    assert checked == [0, 1, 37]
 
 
 def test_nash_gap_values():
@@ -142,13 +180,13 @@ def test_regret_equals_top_prob_sum():
     expected = sum(
         delta * (1.0 - adversarial_top_prob(m, eta, delta, t)) for t in range(1, horizon + 1)
     )
-    assert report.reg_x == pytest.approx(expected, abs=1e-9)
+    assert report["reg_x"] == pytest.approx(expected, abs=1e-9)
 
 
 def test_flagship_regret_spot_value():
     _, trace = hedge_match(2, 2, 0.5, 0.5, 1.0, 2000)
     report = regret_report(trace)
-    assert report.reg_x == pytest.approx(1.2692, abs=1e-3)
+    assert report["reg_x"] == pytest.approx(1.2692, abs=1e-3)
 
 
 def test_external_lower_bound_spot_values():
@@ -211,8 +249,8 @@ def test_measured_regret_clears_external_floor():
     m, eta, horizon = 2, 0.25, 400
     lb = external_regret_lower_bound(m, eta, horizon)
     a = adversarial_matrix(m, m, lb.delta_star)
-    _, meter = run_metered(a, "hedge", RateParams(eta, eta, 0.5, 0.5), horizon)
-    assert meter.reg_x >= lb.value - 1e-9
+    row, _ = run_metered(a, "hedge", RateParams(eta, eta, 0.5, 0.5), horizon)
+    assert row["reg_x"] >= lb.value - 1e-9
 
 
 def test_measured_dynamic_regret_clears_floor():

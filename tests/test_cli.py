@@ -161,6 +161,8 @@ def test_sweep_gamma_cli_bad_grid(capsys):
         ["rates", "A-Social", "--m", "1", "--n", "5"],
         ["sweep-gamma", "--m", "1", "--n", "5"],
         ["sweep-gamma", "--m", "0", "--n", "5"],
+        ["rates", "U-Social", "--m", "abc", "--n", "3"],
+        ["sweep-gamma", "--m", "x", "--n", "3"],
     ],
 )
 def test_bad_action_counts_are_usage_errors(argv, capsys):

@@ -156,7 +156,7 @@ def test_floor_leaves_match_regrets_bit_identical(instance):
         x_learner, y_learner = cls(m, 2.0), cls(n, 2.0)
         meter = RegretMeter(payoffs)
         play_match(payoffs, x_learner, y_learner, horizon, observer=meter)
-        reports.append(meter.report())
+        reports.append(meter.snapshot())
     # the rate drives some column weights below the floor within the horizon
     assert y_learner.below_floor
     guarded, plain = reports
@@ -309,7 +309,7 @@ def test_averaged_late_start_has_no_false_range_error(seed):
     a[0] = 1.0
     ybar = rng.dirichlet(np.ones(3))
     learner = AveragedHedge(3, 0.5)
-    learner.round = learner.inner.round = t0
+    learner.round = t0
     learner.inner.cum[:] = (t0 - 1) * (a @ ybar)
     learner._iter_sum[:] = (t0 - 1) / 3
     for t in range(t0, t0 + 50):

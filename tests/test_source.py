@@ -62,3 +62,15 @@ def test_config_flags_are_the_config_keys():
     assert {action.dest for action in flags} == set(CONFIG_KEYS)
     # flag values stay strings, so build_config parses them as it parses file values
     assert all(action.type is None and action.choices is None for action in flags)
+
+
+def test_package_exports_are_its_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert all(hasattr(hedgelab, name) for name in hedgelab.__all__)
+    assert imported == set(hedgelab.__all__)
