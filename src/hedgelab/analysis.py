@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import MatchTrace, PayoffMatrix, gradients
+from .learners import bottom, top
 
 
 class RegretMeter:
@@ -39,8 +40,8 @@ class RegretMeter:
         py = float(y @ loss)
         self.gain_total += px
         self.loss_total += py
-        gmax = float(g.max())
-        lmin = float(loss.min())
+        gmax = top(g)
+        lmin = bottom(loss)
         self.dreg_x += gmax - px
         self.dreg_y += py - lmin
         self.last_pair_gap = gmax - lmin
@@ -53,8 +54,8 @@ class RegretMeter:
         in hindsight, dreg_x / dreg_y against each round's best action, so
         dreg >= reg; gap_mode picks the pair nash_gap describes, the
         time-averaged one ("averaged_pair") or this round's ("last_pair")."""
-        best_gain = float(self.cum_gain.max())
-        least_loss = float(self.cum_loss.min())
+        best_gain = top(self.cum_gain)
+        least_loss = bottom(self.cum_loss)
         if gap_mode == "averaged_pair":
             gap = (best_gain - least_loss) / self.rounds if self.rounds else 0.0
         elif gap_mode == "last_pair":
@@ -87,7 +88,7 @@ def nash_gap(payoffs: PayoffMatrix, x, y) -> float:
     """How far the pair (x, y) is from equilibrium: the row player's best
     improvement plus the column player's best improvement."""
     g, loss = gradients(payoffs, x, y)
-    return float(g.max()) - float(loss.min())
+    return top(g) - bottom(loss)
 
 
 def adversarial_top_prob(num_actions: int, rate: float, delta: float, t: int) -> float:

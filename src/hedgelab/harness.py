@@ -243,10 +243,11 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every configured preset, stream each one's metric rows to its
     CSV, write a summary CSV, and return the summary rows."""
     payoffs = instance_matrix(cfg)
+    # every preset's rates first: a size some preset cannot take fails before any file is written
+    rates = [(preset, preset_rates(preset, payoffs.m, payoffs.n)) for preset in cfg.presets]
     out = Path(cfg.out_dir)
     summary = []
-    for preset in cfg.presets:
-        rp = preset_rates(preset, payoffs.m, payoffs.n)
+    for preset, rp in rates:
         with csv_writer(out / f"metrics_{preset}.csv", METRIC_COLUMNS) as write_row:
             final, _ = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, write_row, cfg.cadence)
         target, measured, bound = _upper_target(preset, final, cfg, payoffs.m, payoffs.n)
@@ -344,6 +345,10 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     verify_report.csv and verify_report.txt under cfg.out_dir.
     """
     payoffs = instance_matrix(cfg)
+    if payoffs.m < 2 or payoffs.n < 2:
+        raise ConfigError(
+            f"verify's adversarial floors need m >= 2 and n >= 2, got ({payoffs.m}, {payoffs.n})"
+        )
     averaged = cfg.algorithm == "averaged"
     if averaged:
         bad = [p for p in cfg.presets if p not in SOCIAL_PRESETS]

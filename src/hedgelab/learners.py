@@ -33,11 +33,27 @@ class Learner(Protocol):
     def observe(self, utilities) -> None: ...
 
 
+# The largest and smallest entry of a non-empty float vector, read by index:
+# on short vectors argmax/argmin plus item cost a fraction of a ufunc reduce.
+# Both pick the first NaN, so a NaN anywhere gives NaN, as max/min do. They
+# differ from max/min only in the sign of a zero extreme where +0.0 and -0.0
+# tie (first one wins); no round reaches that: the learners' and the meter's
+# running sums start at +0.0 and never become -0.0, a sign flip of hi cancels
+# in scores - hi, and BLAS gemv returns +0.0 for a zero sum.
+def top(v: np.ndarray) -> float:
+    return v.item(v.argmax())
+
+
+def bottom(v: np.ndarray) -> float:
+    return v.item(v.argmin())
+
+
 def _checked_utilities(utilities, dim: int) -> np.ndarray:
     u = np.asarray(utilities, dtype=np.float64)
     if u.shape != (dim,):
         raise DimensionMismatchError(f"expected {dim} utilities, got shape {u.shape}")
-    if not float(np.abs(u).max()) <= 1.0 + UTILITY_SLACK:  # NaN fails too
+    limit = 1.0 + UTILITY_SLACK
+    if not (top(u) <= limit and -bottom(u) <= limit):  # NaN fails too
         raise UtilityOutOfRangeError("utilities must lie in [-1, 1]")
     return u
 
@@ -72,12 +88,14 @@ class OptimisticHedge:
         self.rate = rate
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
+        self._scores = np.empty(self.dim)  # next_strategy's work buffer
 
     def next_strategy(self) -> np.ndarray:
         if self.rate == 0.0:
             return uniform_strategy(self.dim)
-        scores = self.rate * (self.cum + self.last)
-        hi, lo = scores.max(), scores.min()  # both NaN if any score is
+        scores = np.add(self.cum, self.last, out=self._scores)
+        scores *= self.rate
+        hi, lo = top(scores), bottom(scores)  # both NaN if any score is
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NonFiniteWeightError("non-finite exponential-weights score")
         scores -= hi  # keep every exponent <= 0
@@ -88,7 +106,7 @@ class OptimisticHedge:
             scores *= live
         else:
             np.exp(scores, out=scores)
-        return scores / scores.sum()
+        return scores / np.add.reduce(scores)
 
     def observe(self, utilities) -> None:
         self._update(_checked_utilities(utilities, self.dim))

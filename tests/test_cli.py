@@ -181,6 +181,27 @@ def test_simulate_missing_matrix_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+ONE_ROW = "1 5\n0.1 -0.2 0.3 0.4 -0.5\n"
+ONE_COLUMN = "5 1\n0.1\n-0.2\n0.3\n0.4\n-0.5\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("matrix", [ONE_ROW, ONE_COLUMN], ids=["1x5", "5x1"])
+def test_single_action_game_fails_before_play(command, matrix, tmp_path, capsys):
+    # the A-* presets and verify's floors need two actions a side, and the
+    # run must say so before it plays a match or writes a file
+    path = tmp_path / "game.txt"
+    path.write_text(matrix)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--instance", "file", "--matrix-file", str(path), "--T", "20"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "(1, 5)" in err or "(5, 1)" in err
+    assert not any(out.iterdir())
+
+
 def test_matrix_check(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("2 2\n0 1\n-1 0\n")

@@ -9,7 +9,7 @@ from hedgelab.errors import (
     UtilityOutOfRangeError,
 )
 from hedgelab.game import adversarial_matrix, make_payoff_matrix, play_match
-from hedgelab.learners import EXP_FLOOR, _kahan_add
+from hedgelab.learners import EXP_FLOOR, _kahan_add, bottom, top
 from hedgelab.rates import preset_rates
 
 TINY = np.finfo(np.float64).tiny
@@ -104,6 +104,10 @@ def test_observe_validation():
         learner.observe(np.array([0.0, 1.5, 0.0]))
     with pytest.raises(UtilityOutOfRangeError):
         learner.observe(np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(UtilityOutOfRangeError):
+        learner.observe(np.array([0.0, np.inf, 0.0]))
+    with pytest.raises(UtilityOutOfRangeError):
+        learner.observe(np.array([-1.5, 0.0, 0.0]))
     # reconstructed utilities may carry a hair of float drift past 1
     learner.observe(np.array([0.0, 1.0 + 5e-10, 0.0]))
 
@@ -114,6 +118,56 @@ def test_non_finite_scores_raise(bad):
     learner.cum[0] = bad
     with pytest.raises(NonFiniteWeightError):
         learner.next_strategy()
+
+
+def test_strategies_are_fresh_arrays():
+    learner = OptimisticHedge(3, 0.5)
+    learner.observe(np.array([0.5, -0.5, 0.0]))
+    first = learner.next_strategy()
+    kept = first.copy()
+    learner.observe(np.array([-1.0, 1.0, 0.0]))
+    second = learner.next_strategy()
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+
+def extreme_cases():
+    """Seeded vectors of length 1 to 10,000: random, with ties, with +-inf,
+    and with a NaN at the first, middle and last index."""
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 3, 10, 101, 1000, 10000):
+        plain = rng.uniform(-1, 1, size)
+        # rounding gives ties; + 0.0 turns the -0.0 it makes into +0.0
+        tied = np.round(plain, 1) + 0.0
+        yield plain
+        yield tied
+        yield -np.abs(tied)
+        for special in (np.inf, -np.inf):
+            v = tied.copy()
+            v[rng.integers(size)] = special
+            yield v
+        v = plain.copy()
+        v[0], v[-1] = np.inf, -np.inf
+        yield v
+        for at in (0, size // 2, size - 1):
+            v = plain.copy()
+            v[at] = np.nan
+            yield v
+    yield np.full(5, 0.25)
+    yield np.full(4, np.inf)
+
+
+def test_top_and_bottom_equal_the_ufunc_reduce():
+    # Only a tie of +0.0 and -0.0 at the extreme is left out: there max/min
+    # and argmax/argmin may return either zero, and no round produces -0.0.
+    for v in extreme_cases():
+        for helper, reduce in ((top, np.maximum.reduce), (bottom, np.minimum.reduce)):
+            got, want = helper(v), float(reduce(v))
+            assert isinstance(got, float)
+            if np.isnan(v).any():
+                assert np.isnan(got) and np.isnan(want)
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_scores_below_floor_get_exactly_zero_weight():
@@ -237,7 +291,7 @@ def test_averaged_observe_requires_next_strategy():
         learner.observe(np.zeros(3))
 
 
-@pytest.mark.parametrize("bad", [1.5, -1.5, np.nan])
+@pytest.mark.parametrize("bad", [1.5, -1.5, np.nan, np.inf])
 def test_averaged_observe_range_check(bad):
     learner = AveragedHedge(3, 0.5)
     learner.next_strategy()

@@ -2,11 +2,18 @@
 
 import argparse
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import hedgelab
+from hedgelab.analysis import RegretMeter
 from hedgelab.cli import _add_config_flags
+from hedgelab.game import play_match
 from hedgelab.harness import CONFIG_KEYS
+from hedgelab.learners import OptimisticHedge, _checked_utilities
 
 PACKAGE = Path(hedgelab.__file__).resolve().parent
 
@@ -74,3 +81,47 @@ def test_package_exports_are_its_imports():
     }
     assert all(hasattr(hedgelab, name) for name in hedgelab.__all__)
     assert imported == set(hedgelab.__all__)
+
+
+# Per-round code reads extremes with learners.top/bottom and sums with
+# np.add.reduce; each of these forms costs a ufunc reduce (or a temporary).
+SLOW_METHODS = {"max", "min", "sum"}
+
+
+def slow_calls(source: str):
+    """Calls of .max/.min/.sum and np.abs in `source`, as (line, call)."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr in SLOW_METHODS:
+            found.append((node.lineno, f".{func.attr}"))
+        elif func.attr == "abs" and isinstance(func.value, ast.Name) and func.value.id == "np":
+            found.append((node.lineno, "np.abs"))
+    return sorted(found)
+
+
+def test_slow_call_finder():
+    source = (
+        "def f(u, v):\n"
+        "    a = float(np.abs(u).max())\n"
+        "    b = max(a, v.item(v.argmin()))\n"
+        "    return a + v.sum() + np.add.reduce(u) + u.min()\n"
+    )
+    assert slow_calls(source) == [(2, ".max"), (2, "np.abs"), (4, ".min"), (4, ".sum")]
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        OptimisticHedge.next_strategy,
+        _checked_utilities,
+        RegretMeter.update,
+        RegretMeter.snapshot,
+        play_match,
+    ],
+    ids=lambda f: f.__qualname__,
+)
+def test_per_round_code_makes_no_reduce_calls(func):
+    assert slow_calls(inspect.getsource(func)) == []
