@@ -14,7 +14,7 @@ from .learners import bottom, top
 class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
-    Usable directly as a play_match observer. Argmax bookkeeping runs on
+    Its update method is a play_match observer. Argmax bookkeeping runs on
     cumulative vectors, so nothing per-round is retained, not even for
     worst_scaled_pair_gap, the max over rounds of t * (round-t pair's gap).
     """
@@ -29,9 +29,6 @@ class RegretMeter:
         self.rounds = 0
         self.last_pair_gap = 0.0
         self.worst_scaled_pair_gap = -math.inf
-
-    def __call__(self, t, x, y, g, loss):
-        self.update(t, x, y, g, loss)
 
     def update(self, t, x, y, g, loss):
         self.cum_gain += g

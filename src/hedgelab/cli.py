@@ -100,11 +100,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = build_config(_gather_config(args))
-    report = verify_bounds(cfg)
-    for line in report.lines():
-        print(line)
+    checks = verify_bounds(cfg)
+    for c in checks:
+        print(c.line())
     print(f"wrote verify_report.csv and verify_report.txt under {cfg.out_dir}")
-    return 0 if report.all_pass else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_matrix_check(args) -> int:

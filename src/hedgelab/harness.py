@@ -86,9 +86,11 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not self.presets:
             raise ConfigError("presets must name at least one preset")
-        for p in self.presets:
+        for i, p in enumerate(self.presets):
             if p not in PRESETS:
                 raise ConfigError(f"unknown preset {p!r}")
+            if p in self.presets[:i]:
+                raise ConfigError(f"preset {p!r} is named twice")
         if self.instance == "file" and not self.matrix_path:
             raise ConfigError("instance=file needs matrix_file")
         # verify's floors and the averaged dynamic's bound need at least one round
@@ -170,31 +172,27 @@ def run_metered(
 ):
     """One match under live metering; returns (final metric row, meter).
 
-    With write_row, each row taken (every `cadence` rounds and at t =
-    horizon) goes to write_row at once and the last is the final row;
-    without it the meter alone observes and the final row is taken after
-    the match. No row is kept, so memory is O(m + n) at any horizon. The
-    nash_gap column describes the time-averaged pair for the plain dynamic
-    and the played (already averaged) pair for the averaged dynamic.
+    The final row is taken once, after the match. With write_row, a row
+    taken every `cadence` rounds before the last goes to write_row at once,
+    and the final row follows it; without it the meter alone observes. No
+    row is kept, so memory is O(m + n) at any horizon. The nash_gap column
+    describes the time-averaged pair for the plain dynamic and the played
+    (already averaged) pair for the averaged dynamic.
     """
     x_learner = _make_learner(algorithm, payoffs.m, rp.eta_x)
     y_learner = _make_learner(algorithm, payoffs.n, rp.eta_y)
     meter = RegretMeter(payoffs)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
-    if write_row is None:
-        play_match(payoffs, x_learner, y_learner, horizon, meter)
-        return meter.snapshot(gap_mode), meter
-    # a match of no rounds has only its t = 0 row, which no round writes
-    final = meter.snapshot(gap_mode) if horizon == 0 else None
 
     def observer(t, x, y, g, loss):
-        nonlocal final
         meter.update(t, x, y, g, loss)
-        if t % cadence == 0 or t == horizon:
-            final = meter.snapshot(gap_mode)
-            write_row(final)
+        if t % cadence == 0 and t < horizon:
+            write_row(meter.snapshot(gap_mode))
 
-    play_match(payoffs, x_learner, y_learner, horizon, observer)
+    play_match(payoffs, x_learner, y_learner, horizon, observer if write_row else meter.update)
+    final = meter.snapshot(gap_mode)
+    if write_row:
+        write_row(final)
     return final, meter
 
 
@@ -226,36 +224,44 @@ def write_csv(path, columns, rows) -> None:
             write_row(row)
 
 
-def _upper_target(preset: str, row: dict, cfg: ExperimentConfig, m: int, n: int):
-    """(target metric, measured value, bound) a preset's match is held to,
-    read from its final metric row; the averaged dynamic's max_dreg has a
-    bound only for the social presets."""
-    if cfg.algorithm == "averaged":
-        bound = ""
-        if preset in SOCIAL_PRESETS:
-            bound = theoretical_upper(preset, m, n, cfg.horizon, dynamic=True)
-        return "max_dreg", max(row["dreg_x"], row["dreg_y"]), bound
-    target = PRESET_TARGETS[preset]
-    return target, row[target], theoretical_upper(preset, m, n)
+def plan_matches(cfg: ExperimentConfig, payoffs: PayoffMatrix):
+    """Each configured preset's (preset, rates, target metric, bound), all
+    worked out before any match is played, so a size some preset cannot
+    take fails before any file is written. The averaged dynamic is held to
+    max_dreg, which has a bound only for the social presets."""
+    m, n = payoffs.m, payoffs.n
+    plan = []
+    for preset in cfg.presets:
+        rp = preset_rates(preset, m, n)
+        if cfg.algorithm == "hedge":
+            target, bound = PRESET_TARGETS[preset], theoretical_upper(preset, m, n)
+        elif preset in SOCIAL_PRESETS:
+            target, bound = "max_dreg", theoretical_upper(preset, m, n, cfg.horizon, dynamic=True)
+        else:
+            target, bound = "max_dreg", ""
+        plan.append((preset, rp, target, bound))
+    return plan
+
+
+def _measured(row: dict, target: str) -> float:
+    """A final metric row's value of a planned target metric."""
+    return max(row["dreg_x"], row["dreg_y"]) if target == "max_dreg" else row[target]
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Run every configured preset, stream each one's metric rows to its
-    CSV, write a summary CSV, and return the summary rows."""
+    """Play the planned matches, stream each one's metric rows to its CSV,
+    write a summary CSV, and return the summary rows."""
     payoffs = instance_matrix(cfg)
-    # every preset's rates first: a size some preset cannot take fails before any file is written
-    rates = [(preset, preset_rates(preset, payoffs.m, payoffs.n)) for preset in cfg.presets]
     out = Path(cfg.out_dir)
     summary = []
-    for preset, rp in rates:
+    for preset, rp, target, bound in plan_matches(cfg, payoffs):
         with csv_writer(out / f"metrics_{preset}.csv", METRIC_COLUMNS) as write_row:
             final, _ = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, write_row, cfg.cadence)
-        target, measured, bound = _upper_target(preset, final, cfg, payoffs.m, payoffs.n)
         summary.append(
             {
                 "preset": preset,
                 "target_metric": target,
-                "measured_target": measured,
+                "measured_target": _measured(final, target),
                 "theoretical_upper": bound,
                 **final,
             }
@@ -320,19 +326,7 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self):
-        return [c.line() for c in self.checks]
-
-
-def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
+def verify_bounds(cfg: ExperimentConfig):
     """Compare measured regrets against upper bounds and adversarial floors.
 
     Per preset: (a) the target regret on the configured instance against the
@@ -340,15 +334,16 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
     dynamic) on the adversarial instance tuned to the preset's rate against
     the matching floor; (c) for the averaged dynamic, the worst t * (Nash gap
     of the round-t pair) against its guaranteed constants (the two published
-    readings of the cardinality-aware constant are separate checks). Checks
-    read the final meter, so cfg.cadence plays no part. Writes
-    verify_report.csv and verify_report.txt under cfg.out_dir.
+    readings of the cardinality-aware constant are separate checks). Every
+    bound, floor and constant is worked out before the first match; each
+    tuned instance is built only when its match is played. Checks read the
+    final meter, so cfg.cadence plays no part. Writes verify_report.csv and
+    verify_report.txt under cfg.out_dir and returns the checks.
     """
     payoffs = instance_matrix(cfg)
-    if payoffs.m < 2 or payoffs.n < 2:
-        raise ConfigError(
-            f"verify's adversarial floors need m >= 2 and n >= 2, got ({payoffs.m}, {payoffs.n})"
-        )
+    m, n = payoffs.m, payoffs.n
+    if m < 2 or n < 2:
+        raise ConfigError(f"verify's adversarial floors need m >= 2 and n >= 2, got ({m}, {n})")
     averaged = cfg.algorithm == "averaged"
     if averaged:
         bad = [p for p in cfg.presets if p not in SOCIAL_PRESETS]
@@ -360,31 +355,29 @@ def verify_bounds(cfg: ExperimentConfig) -> VerifyReport:
         floor_of, floor_metric = dynamic_regret_lower_bound, "dreg_x"
     else:
         floor_of, floor_metric = external_regret_lower_bound, "reg_x"
+    plan = []
+    for preset, rp, target, bound in plan_matches(cfg, payoffs):
+        gaps = _gap_constants(preset, m, n) if averaged else ()
+        plan.append((preset, rp, target, bound, floor_of(m, rp.eta_x, cfg.horizon), gaps))
     checks = []
-    for preset in cfg.presets:
-        rp = preset_rates(preset, payoffs.m, payoffs.n)
+    for preset, rp, target, bound, floor, gaps in plan:
         row, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon)
-        target, measured, bound = _upper_target(preset, row, cfg, payoffs.m, payoffs.n)
+        measured = _measured(row, target)
         checks.append(
             CheckResult(f"upper[{target}]", preset, measured, bound, "<=", measured <= bound)
         )
-        floor = floor_of(payoffs.m, rp.eta_x, cfg.horizon)
-        tuned = adversarial_matrix(payoffs.m, payoffs.n, floor.delta_star)
+        tuned = adversarial_matrix(m, n, floor.delta_star)
         lb = run_metered(tuned, cfg.algorithm, rp, cfg.horizon)[0][floor_metric]
         passed = lb >= floor.value - LOWER_SLACK
         checks.append(CheckResult(f"lower[{floor_metric}]", preset, lb, floor.value, ">=", passed))
-        if averaged:
-            worst = meter.worst_scaled_pair_gap
-            for label, const in _gap_constants(preset, payoffs.m, payoffs.n):
-                checks.append(
-                    CheckResult(f"gap[{label}]", preset, worst, const, "<=", worst <= const)
-                )
+        worst = meter.worst_scaled_pair_gap
+        for label, const in gaps:
+            checks.append(CheckResult(f"gap[{label}]", preset, worst, const, "<=", worst <= const))
     out = Path(cfg.out_dir)
     rows = [{**vars(c), "result": c.passed} for c in checks]
     write_csv(out / "verify_report.csv", VERIFY_COLUMNS, rows)
-    report = VerifyReport(tuple(checks))
-    (out / "verify_report.txt").write_text("\n".join(report.lines()) + "\n")
-    return report
+    (out / "verify_report.txt").write_text("\n".join(c.line() for c in checks) + "\n")
+    return checks
 
 
 def _gap_constants(preset: str, m: int, n: int):

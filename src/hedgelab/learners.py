@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 import numpy as np
 
@@ -23,14 +22,6 @@ UTILITY_SLACK = 1e-9
 # result is subnormal or near its slow band at -708; and every kept entry stays
 # a normal float after dividing by the sum for any dim up to 1e7.
 EXP_FLOOR = -690.0
-
-
-class Learner(Protocol):
-    dim: int
-
-    def next_strategy(self) -> np.ndarray: ...
-
-    def observe(self, utilities) -> None: ...
 
 
 # The largest and smallest entry of a non-empty float vector, read by index:

@@ -112,7 +112,7 @@ def test_c03_adversarial_floor():
                 OptimisticHedge(m, eta),
                 OptimisticHedge(3, eta),
                 HORIZON,
-                observer=meter,
+                observer=meter.update,
             )
             worst_margin = min(worst_margin, meter.snapshot()["reg_x"] - lb.value)
     ok = spots_ok and worst_margin >= -1e-9

@@ -48,7 +48,7 @@ def test_meter_matches_trace_report():
     a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
     # the same match twice: live-metered, then recorded
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter)
+    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter.update)
     trace = record_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120)
     report = regret_report(trace)
     row = meter.snapshot()
@@ -79,7 +79,7 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
     rng = np.random.default_rng(15)
     a = make_payoff_matrix(4, 6, rng.uniform(-1, 1, 24))
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90, observer=meter)
+    play_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90, observer=meter.update)
     trace = record_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90)
     x_bar = trace.x.mean(axis=0)
     y_bar = trace.y.mean(axis=0)
@@ -93,7 +93,7 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
 def test_snapshot_rows():
     a = adversarial_matrix(2, 2, 1.0)
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), 7, observer=meter)
+    play_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), 7, observer=meter.update)
     row = meter.snapshot()
     assert row["t"] == 7
     assert set(row) == {"t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap"}

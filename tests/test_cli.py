@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hedgelab
+from hedgelab.analysis import RegretMeter
 from hedgelab.cli import _add_config_flags, _gather_config, main
 from hedgelab.harness import CONFIG_KEYS, ExperimentConfig, build_config, load_config_file
 
@@ -82,12 +83,37 @@ def test_simulate_config_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("flag", [["--m", "abc"], ["--cadence", "0"], ["--algo", "bogus"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--m", "abc"], ["--cadence", "0"], ["--algo", "bogus"], ["--preset", "U-Social,U-Social"]],
+)
 def test_simulate_bad_flag_is_one_line_error(flag, tmp_path, capsys):
     assert main(["simulate", *flag, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cadence", [8, 7])
+def test_simulate_snapshots_once_per_metric_row(cadence, tmp_path, monkeypatch):
+    # rows every cadence rounds before T, then the final row once, whether
+    # or not the cadence divides T
+    calls = []
+    snapshot = RegretMeter.snapshot
+
+    def counting_snapshot(self, *args, **kwargs):
+        calls.append(self.rounds)
+        return snapshot(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
+    argv = ["simulate", "--m", "2", "--n", "6", "--T", "80", "--cadence", str(cadence)]
+    assert main([*argv, "--preset", "U-Social,A-X-only", "--out", str(tmp_path)]) == 0
+    written = []
+    for preset in ("U-Social", "A-X-only"):
+        with open(tmp_path / f"metrics_{preset}.csv", newline="") as fh:
+            written += [int(row[0]) for row in list(csv.reader(fh))[1:]]
+    assert calls == written
+    assert written[-1] == 80 and len(written) == 2 * -(-80 // cadence)
 
 
 # one value per config key, none of them its default

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedgelab import OptimisticHedge, adversarial_matrix, record_match, regret_report
+from hedgelab import OptimisticHedge, adversarial_matrix, harness, record_match, regret_report
 from hedgelab.analysis import RegretMeter
 from hedgelab.errors import ConfigError, InvalidGammaError
 from hedgelab.harness import (
@@ -15,12 +15,19 @@ from hedgelab.harness import (
     build_config,
     instance_matrix,
     load_config_file,
+    plan_matches,
     run_experiment,
     run_metered,
     sweep_gamma,
     verify_bounds,
 )
-from hedgelab.rates import RateParams, preset_rates
+from hedgelab.rates import (
+    PRESET_TARGETS,
+    SOCIAL_PRESETS,
+    RateParams,
+    preset_rates,
+    theoretical_upper,
+)
 
 
 def read_csv(path):
@@ -50,6 +57,7 @@ def test_build_config_defaults():
         {"presets": "U-Social,No-Such"},
         {"instance": "file"},
         {"instance": "adversarial", "m": "1"},
+        {"presets": "U-Social,A-Social,U-Social"},
     ],
 )
 def test_build_config_rejects(values):
@@ -72,6 +80,7 @@ def test_build_config_rejects(values):
         {"m": 1},
         {"instance": "matching_pennies", "n": 0},
         {"horizon": 0},
+        {"presets": ("U-Social", "U-Social")},
     ],
 )
 def test_experiment_config_rejects(bad):
@@ -217,6 +226,30 @@ def test_run_metered_matches_recorded_trace():
     assert row["t"] == 60
 
 
+def test_run_metered_zero_rounds_writes_its_t0_row():
+    # a match of no rounds writes only its t = 0 row, the final one
+    rows = []
+    rp = RateParams(0.4, 0.2, 0.5, 0.5)
+    row, _ = run_metered(adversarial_matrix(2, 3, 1.0), "hedge", rp, 0, rows.append)
+    assert rows == [row] and row["t"] == 0 and row["social"] == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
+def test_plan_matches_holds_each_preset_to_its_bound(algorithm):
+    cfg = ExperimentConfig(m=3, n=7, horizon=50, algorithm=algorithm)
+    plan = plan_matches(cfg, instance_matrix(cfg))
+    assert [match[0] for match in plan] == list(cfg.presets)
+    for preset, rp, target, bound in plan:
+        assert rp == preset_rates(preset, 3, 7)
+        if algorithm == "hedge":
+            assert (target, bound) == (PRESET_TARGETS[preset], theoretical_upper(preset, 3, 7))
+        elif preset in SOCIAL_PRESETS:
+            assert target == "max_dreg"
+            assert bound == theoretical_upper(preset, 3, 7, 50, dynamic=True)
+        else:
+            assert (target, bound) == ("max_dreg", "")
+
+
 def test_averaged_experiment_summary(tmp_path):
     cfg = ExperimentConfig(
         m=2,
@@ -267,13 +300,13 @@ def test_verify_bounds_hedge(tmp_path):
         presets=("U-Social", "A-Social", "A-X-only"),
         out_dir=str(tmp_path),
     )
-    report = verify_bounds(cfg)
-    assert report.all_pass
-    kinds = {c.check for c in report.checks}
+    checks = verify_bounds(cfg)
+    assert all(c.passed for c in checks)
+    kinds = {c.check for c in checks}
     assert kinds == {"upper[social]", "upper[reg_x]", "lower[reg_x]"}
-    for line in report.lines():
-        assert line.startswith("PASS ")
-    assert (tmp_path / "verify_report.txt").read_text().count("PASS") == len(report.checks)
+    for c in checks:
+        assert c.line().startswith("PASS ")
+    assert (tmp_path / "verify_report.txt").read_text().count("PASS") == len(checks)
 
 
 @pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
@@ -325,16 +358,16 @@ def test_verify_bounds_averaged(tmp_path):
         algorithm="averaged",
         out_dir=str(tmp_path),
     )
-    report = verify_bounds(cfg)
-    assert report.all_pass
-    kinds = [c.check for c in report.checks]
+    checks = verify_bounds(cfg)
+    assert all(c.passed for c in checks)
+    kinds = [c.check for c in checks]
     assert kinds.count("upper[max_dreg]") == 2
     assert kinds.count("lower[dreg_x]") == 2
     assert "gap[2log(mn)]" in kinds
     assert "gap[plus-half]" in kinds and "gap[plus-4]" in kinds
     # the loose published constant never beats the tight one
-    tight = next(c for c in report.checks if c.check == "gap[plus-half]")
-    loose = next(c for c in report.checks if c.check == "gap[plus-4]")
+    tight = next(c for c in checks if c.check == "gap[plus-half]")
+    loose = next(c for c in checks if c.check == "gap[plus-4]")
     assert tight.bound < loose.bound
     assert tight.measured == loose.measured
 
@@ -359,10 +392,30 @@ def test_verify_averaged_gap_ignores_cadence(tmp_path):
             out_dir=str(tmp_path / f"cadence{cadence}"),
             cadence=cadence,
         )
-        report = verify_bounds(cfg)
-        gaps.append([(c.check, c.preset, c.measured) for c in report.checks if "gap[" in c.check])
+        checks = verify_bounds(cfg)
+        gaps.append([(c.check, c.preset, c.measured) for c in checks if "gap[" in c.check])
     assert len(gaps[0]) == 3
     assert gaps[0] == gaps[1]
+
+
+def test_verify_plans_every_floor_before_play(tmp_path, monkeypatch):
+    floor_of = harness.external_regret_lower_bound
+    rates, played = [], []
+
+    def second_floor_fails(m, rate, horizon):
+        rates.append(rate)
+        if len(rates) == 2:
+            raise ValueError("no floor for the second preset")
+        return floor_of(m, rate, horizon)
+
+    monkeypatch.setattr(harness, "external_regret_lower_bound", second_floor_fails)
+    monkeypatch.setattr(harness, "play_match", lambda *args: played.append(args))
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(m=2, n=6, horizon=40, presets=("U-Social", "A-Social"), out_dir=str(out))
+    with pytest.raises(ValueError, match="second preset"):
+        verify_bounds(cfg)
+    assert played == []
+    assert not out.exists()
 
 
 def test_verify_bounds_averaged_rejects_uncovered_presets():

@@ -209,7 +209,7 @@ def test_floor_leaves_match_regrets_bit_identical(instance):
     for cls in (OptimisticHedge, PlainExpHedge):
         x_learner, y_learner = cls(m, 2.0), cls(n, 2.0)
         meter = RegretMeter(payoffs)
-        play_match(payoffs, x_learner, y_learner, horizon, observer=meter)
+        play_match(payoffs, x_learner, y_learner, horizon, observer=meter.update)
         reports.append(meter.snapshot())
     # the rate drives some column weights below the floor within the horizon
     assert y_learner.below_floor

@@ -12,10 +12,20 @@ import hedgelab
 from hedgelab.analysis import RegretMeter
 from hedgelab.cli import _add_config_flags
 from hedgelab.game import play_match
-from hedgelab.harness import CONFIG_KEYS
+from hedgelab.harness import CONFIG_KEYS, run_metered
 from hedgelab.learners import OptimisticHedge, _checked_utilities
 
 PACKAGE = Path(hedgelab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def all_entries(node):
+    """The names an `__all__ = [...]` assignment lists; none for any other node."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return [elt.value for elt in node.value.elts]
+    return []
 
 
 def unused_imports(source: str):
@@ -33,10 +43,8 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(elt.value for elt in node.value.elts)
+        else:
+            used.update(all_entries(node))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -60,6 +68,64 @@ def test_package_has_no_unused_imports():
         if (unused := unused_imports(path.read_text()))
     }
     assert not found
+
+
+def defined_names(source: str):
+    """Module-level functions, classes and constants `source` defines, as
+    (line, name); dunders are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if not name.startswith("__")]
+    return found
+
+
+def read_names(source: str):
+    """Names `source` reads: a loaded name, an attribute, an imported name
+    or an `__all__` entry."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        else:
+            found.update(all_entries(node))
+    return found
+
+
+def test_defined_and_read_name_finders():
+    source = (
+        "from .game import play_match\n"
+        "__all__ = ['Exported']\n"
+        "LIMIT = 1.0\n"
+        "SPARE: float = 2.0\n"
+        "class Exported: ...\n"
+        "def helper(x):\n"
+        "    unused = x.attr\n"
+        "    return play_match(LIMIT)\n"
+    )
+    assert defined_names(source) == [(3, "LIMIT"), (4, "SPARE"), (5, "Exported"), (6, "helper")]
+    assert read_names(source) == {"play_match", "Exported", "float", "attr", "x", "LIMIT"}
+
+
+def test_every_module_level_name_is_read():
+    sources = [p.read_text() for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]]
+    read = set().union(*map(read_names, sources))
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := [d for d in defined_names(path.read_text()) if d[1] not in read])
+    }
+    assert not unread
 
 
 def test_config_flags_are_the_config_keys():
@@ -120,6 +186,7 @@ def test_slow_call_finder():
         RegretMeter.update,
         RegretMeter.snapshot,
         play_match,
+        run_metered,
     ],
     ids=lambda f: f.__qualname__,
 )
