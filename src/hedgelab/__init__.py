@@ -25,7 +25,7 @@ from .game import (
     play_match,
     record_match,
 )
-from .learners import AveragedHedge, OptimisticHedge, UniformPlayer, uniform_strategy
+from .learners import AveragedHedge, OptimisticHedge, uniform_strategy
 from .optim import (
     OptimizeOptions,
     OptimizeResult,
@@ -66,7 +66,6 @@ __all__ = [
     "RateParams",
     "RegretMeter",
     "TransformedParams",
-    "UniformPlayer",
     "adversarial_matrix",
     "adversarial_top_prob",
     "dynamic_regret_lower_bound",

@@ -22,7 +22,7 @@ from .errors import (
     TooFewActionsError,
 )
 
-Observer = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+Observer = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -114,49 +114,45 @@ class MatchTrace:
         return self.x.shape[0]
 
 
-def play_match(
-    payoffs: PayoffMatrix,
-    x_learner,
-    y_learner,
-    horizon: int,
-    observer: Observer,
-) -> None:
+def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer) -> None:
     """Run the uncoupled repeated game for `horizon` rounds.
 
-    Each round both learners commit a strategy, then the row learner observes
-    the gain vector and the column learner observes the negated loss vector
-    (so one learner implementation serves both roles). `observer` is called
-    with (t, x, y, gains, losses) before the learners update; nothing else
-    of a round is kept.
+    `players` holds the row and the column player as the blocks (m, n) of
+    one state, as OptimisticHedge((m, n), rates) does. Each round it commits
+    z = (x, y); each player then observes its own block of u = (A y, -A^T x),
+    the gain vector and the negated loss vector, so one learner update serves
+    both roles. `observer` is called with (t, z, u) before the players update;
+    nothing else of a round is kept.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if x_learner.dim != payoffs.m or y_learner.dim != payoffs.n:
-        raise DimensionMismatchError(
-            f"learner dims {x_learner.dim}/{y_learner.dim} do not match a "
-            f"{payoffs.m}x{payoffs.n} game"
-        )
+    m, n = payoffs.m, payoffs.n
+    if players.dims != (m, n):
+        raise DimensionMismatchError(f"player dims {players.dims} do not match a {m}x{n} game")
     a = payoffs.entries
+    at = a.T
     for t in range(1, horizon + 1):
-        x = x_learner.next_strategy()
-        y = y_learner.next_strategy()
-        g = a @ y
-        loss = a.T @ x
-        observer(t, x, y, g, loss)
-        x_learner.observe(g)
-        y_learner.observe(-loss)
+        z = players.next_strategy()
+        u = np.empty(m + n)
+        u_y = u[m:]
+        a.dot(z[m:], out=u[:m])
+        at.dot(z[:m], out=u_y)
+        np.negative(u_y, u_y)
+        observer(t, z, u)
+        players.observe(u)
 
 
-def record_match(payoffs: PayoffMatrix, x_learner, y_learner, horizon: int) -> MatchTrace:
+def record_match(payoffs: PayoffMatrix, players, horizon: int) -> MatchTrace:
     """play_match with a recording observer: the full per-round trace."""
-    rows = max(horizon, 0)
-    xs, gs = np.empty((rows, payoffs.m)), np.empty((rows, payoffs.m))
+    m, rows = payoffs.m, max(horizon, 0)
+    xs, gs = np.empty((rows, m)), np.empty((rows, m))
     ys, ls = np.empty((rows, payoffs.n)), np.empty((rows, payoffs.n))
 
-    def record(t, x, y, g, loss):
-        xs[t - 1], ys[t - 1], gs[t - 1], ls[t - 1] = x, y, g, loss
+    def record(t, z, u):
+        xs[t - 1], ys[t - 1], gs[t - 1] = z[:m], z[m:], u[:m]
+        np.negative(u[m:], out=ls[t - 1])
 
-    play_match(payoffs, x_learner, y_learner, horizon, record)
+    play_match(payoffs, players, horizon, record)
     return MatchTrace(payoffs, xs, ys, gs, ls)
 
 

@@ -126,6 +126,8 @@ def load_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
         values[key] = value
     return values
 
@@ -161,10 +163,10 @@ def instance_matrix(cfg: ExperimentConfig) -> PayoffMatrix:
     return load_matrix_file(cfg.matrix_path)
 
 
-def _make_learner(algorithm: str, dim: int, rate: float):
+def _make_players(algorithm: str, dims: tuple, rates: tuple):
     if algorithm == "averaged":
-        return AveragedHedge(dim, rate)
-    return OptimisticHedge(dim, rate)
+        return AveragedHedge(dims, rates)
+    return OptimisticHedge(dims, rates)
 
 
 def run_metered(
@@ -179,17 +181,16 @@ def run_metered(
     describes the time-averaged pair for the plain dynamic and the played
     (already averaged) pair for the averaged dynamic.
     """
-    x_learner = _make_learner(algorithm, payoffs.m, rp.eta_x)
-    y_learner = _make_learner(algorithm, payoffs.n, rp.eta_y)
+    players = _make_players(algorithm, (payoffs.m, payoffs.n), (rp.eta_x, rp.eta_y))
     meter = RegretMeter(payoffs)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
 
-    def observer(t, x, y, g, loss):
-        meter.update(t, x, y, g, loss)
+    def observer(t, z, u):
+        meter.update(t, z, u)
         if t % cadence == 0 and t < horizon:
             write_row(meter.snapshot(gap_mode))
 
-    play_match(payoffs, x_learner, y_learner, horizon, observer if write_row else meter.update)
+    play_match(payoffs, players, horizon, observer if write_row else meter.update)
     final = meter.snapshot(gap_mode)
     if write_row:
         write_row(final)

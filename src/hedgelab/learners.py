@@ -23,6 +23,11 @@ UTILITY_SLACK = 1e-9
 # a normal float after dividing by the sum for any dim up to 1e7.
 EXP_FLOOR = -690.0
 
+# A learner state of up to this many entries shifts and normalises all its
+# blocks with one ufunc call each; a longer one, block by block (see
+# OptimisticHedge.__init__). The bits are the same either way.
+STACKED_DIM = 1024
+
 
 # The largest and smallest entry of a non-empty float vector, read by index:
 # on short vectors argmax/argmin plus item cost a fraction of a ufunc reduce.
@@ -64,40 +69,98 @@ class OptimisticHedge:
     all-ones, so the first strategy is uniform. rate == 0 plays the exact
     uniform strategy every round rather than a numerical limit.
 
+    One learner holds one or more players as consecutive blocks of one state
+    vector: OptimisticHedge(d, rate) is one player, OptimisticHedge((m, n),
+    (eta_x, eta_y)) the two players of a match. Strategies, utilities and
+    the running sums are the players' vectors end to end, so each
+    elementwise step runs once for all of them; only the extremes and the
+    normalisation run per block. Every block gets the same bits as a
+    learner of its own.
+
     Weights below e^EXP_FLOOR = e^-690 of the leader's are played as exactly
     0: those actions would get probability below 2.9e-300, and every other
     entry is the same bits as the plain softmax.
     """
 
-    def __init__(self, dim: int, rate: float):
-        if dim < 1:
-            raise ValueError(f"need at least one action, got {dim}")
-        rate = float(rate)
-        if not np.isfinite(rate) or rate < 0:
-            raise ValueError(f"rate must be finite and >= 0, got {rate}")
-        self.dim = int(dim)
-        self.rate = rate
+    def __init__(self, dims, rates):
+        self.dims = tuple(int(d) for d in np.atleast_1d(dims))
+        self.rates = tuple(float(r) for r in np.atleast_1d(rates))
+        if len(self.dims) != len(self.rates) or not self.dims:
+            raise ValueError(f"need one rate per block, got {rates!r} for {dims!r}")
+        for dim in self.dims:
+            if dim < 1:
+                raise ValueError(f"need at least one action, got {dim}")
+        for rate in self.rates:
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"rate must be finite and >= 0, got {rate}")
+        self.dim = sum(self.dims)
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
-        self._scores = np.empty(self.dim)  # next_strategy's work buffer
+        # Only blocks with rate > 0 run the step; a rate-0 block plays 1/dim in
+        # each entry. The step's elementwise passes cover the span from the
+        # first to the last stepped block, so a rate-0 block at either end
+        # costs nothing. Each stepped block's leading score and weight sum go
+        # to `shift` and `total`: on a short state these are the block's views
+        # of per-entry vectors, so that one subtraction and one division serve
+        # every block; on a long one, where filling such vectors costs more
+        # than the calls they save, they are 0-d arrays (a ufunc takes those
+        # faster than floats) and each block subtracts and divides on its own.
+        self._stacked = self.dim <= STACKED_DIM
+        self._scores = np.ones(self.dim)  # next_strategy's work buffer
+        self._shift = np.zeros(self.dim)
+        self._total = np.empty(self.dim)
+        ends = np.cumsum(self.dims).tolist()
+        self._stepped, self._uniform = [], []
+        for dim, end, rate in zip(self.dims, ends, self.rates):
+            where = slice(end - dim, end)
+            if rate == 0.0:
+                self._uniform.append((where, 1.0 / dim))
+                self._total[where] = dim  # over scores of exp(0) = 1
+            elif self._stacked:
+                views = self._scores[where], self._shift[where], self._total[where]
+                self._stepped.append((where, *views))
+            else:
+                self._stepped.append((where, self._scores[where], np.empty(()), np.empty(())))
+        stepped = [where for where, *_ in self._stepped]
+        self._span = slice(stepped[0].start, stepped[-1].stop) if stepped else slice(0)
+        self._cum_span = self.cum[self._span]
+        self._scores_span = self._scores[self._span]
+        self._shift_span = self._shift[self._span]
+        self._rate_span = np.repeat(self.rates, self.dims)[self._span]
 
     def next_strategy(self) -> np.ndarray:
-        if self.rate == 0.0:
-            return uniform_strategy(self.dim)
-        scores = np.add(self.cum, self.last, out=self._scores)
-        scores *= self.rate
-        hi, lo = top(scores), bottom(scores)  # both NaN if any score is
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NonFiniteWeightError("non-finite exponential-weights score")
-        scores -= hi  # keep every exponent <= 0
-        if lo - hi < EXP_FLOOR:
+        scores = np.add(self._cum_span, self.last[self._span], self._scores_span)
+        scores *= self._rate_span
+        floor = False
+        for _, block, shift, _ in self._stepped:
+            hi, lo = top(block), bottom(block)  # both NaN if any score is
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise NonFiniteWeightError("non-finite exponential-weights score")
+            shift.fill(hi)
+            if not self._stacked:
+                np.subtract(block, shift, block)  # keep every exponent <= 0
+            floor = floor or lo - hi < EXP_FLOOR
+        if self._stacked:
+            scores -= self._shift_span
+        # Over a block with no score below the floor the mask is a no-op with
+        # the same bits, so one pass serves every block.
+        if floor:
             live = scores >= EXP_FLOOR
             np.maximum(scores, EXP_FLOOR, out=scores)
-            np.exp(scores, out=scores)
+            np.exp(scores, scores)
             scores *= live
         else:
-            np.exp(scores, out=scores)
-        return scores / np.add.reduce(scores)
+            np.exp(scores, scores)
+        if self._stacked:
+            for _, block, _, total in self._stepped:
+                total.fill(np.add.reduce(block))
+            return self._scores / self._total
+        z = np.empty(self.dim)
+        for where, block, _, total in self._stepped:
+            np.divide(block, np.add.reduce(block, out=total), z[where])
+        for where, p in self._uniform:
+            z[where] = p
+        return z
 
     def observe(self, utilities) -> None:
         self._update(_checked_utilities(utilities, self.dim))
@@ -108,28 +171,14 @@ class OptimisticHedge:
         self.last = u
 
 
-class UniformPlayer:
-    """Plays the uniform strategy every round and ignores feedback."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"need at least one action, got {dim}")
-        self.dim = int(dim)
-
-    def next_strategy(self) -> np.ndarray:
-        return uniform_strategy(self.dim)
-
-    def observe(self, utilities) -> None:
-        u = np.asarray(utilities, dtype=np.float64)
-        if u.shape != (self.dim,):
-            raise DimensionMismatchError(f"expected {self.dim} utilities, got shape {u.shape}")
-
-
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    s = total + y
-    comp[:] = (s - total) - y
-    total[:] = s
+def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray, y, s) -> None:
+    """total += term with compensation comp, in place; y and s are work
+    buffers of the same shape."""
+    np.subtract(term, comp, out=y)
+    np.add(total, y, out=s)
+    np.subtract(s, total, out=comp)
+    comp -= y
+    np.copyto(total, s)
 
 
 class AveragedHedge:
@@ -140,15 +189,18 @@ class AveragedHedge:
     t * (averaged utility) - (the inner learner's running utility sum). The
     iterate mean uses compensated summation. observe() range-checks the
     averaged utilities it is given; the reconstruction, whose float error
-    grows like t * eps, goes to the inner learner unchecked.
+    grows like t * eps, goes to the inner learner unchecked. It takes dims
+    and rates as OptimisticHedge does, so one learner holds every player.
     """
 
-    def __init__(self, dim: int, rate: float):
-        self.inner = OptimisticHedge(dim, rate)
+    def __init__(self, dims, rates):
+        self.inner = OptimisticHedge(dims, rates)
+        self.dims = self.inner.dims
         self.dim = self.inner.dim
         self.round = 1
         self._iter_sum = np.zeros(self.dim)
         self._iter_comp = np.zeros(self.dim)
+        self._kahan_work = np.empty(self.dim), np.empty(self.dim)
         self._pending: np.ndarray | None = None
         self.last_inner: np.ndarray | None = None
         self.last_reconstructed: np.ndarray | None = None
@@ -157,7 +209,7 @@ class AveragedHedge:
         if self._pending is None:
             inner = self.inner.next_strategy()
             self.last_inner = inner
-            _kahan_add(self._iter_sum, self._iter_comp, inner)
+            _kahan_add(self._iter_sum, self._iter_comp, inner, *self._kahan_work)
             self._pending = self._iter_sum / self.round
         return self._pending
 

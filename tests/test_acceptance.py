@@ -58,7 +58,7 @@ def test_c01_trajectory_matches_closed_form():
                 for delta in (0.1, 1.0):
                     a = adversarial_matrix(m, n, delta)
                     trace = record_match(
-                        a, OptimisticHedge(m, eta_x), OptimisticHedge(n, eta_y), HORIZON
+                        a, OptimisticHedge((m, n), (eta_x, eta_y)), HORIZON
                     )
                     ts = np.arange(2.0, HORIZON + 1.0)
                     want = 1.0 / (1.0 + (m - 1) * np.exp(-eta_x * delta * ts))
@@ -107,13 +107,7 @@ def test_c03_adversarial_floor():
             lb = external_regret_lower_bound(m, eta, HORIZON)
             a = adversarial_matrix(m, 3, lb.delta_star)
             meter = RegretMeter(a)
-            play_match(
-                a,
-                OptimisticHedge(m, eta),
-                OptimisticHedge(3, eta),
-                HORIZON,
-                observer=meter.update,
-            )
+            play_match(a, OptimisticHedge((m, 3), (eta, eta)), HORIZON, observer=meter.update)
             worst_margin = min(worst_margin, meter.snapshot()["reg_x"] - lb.value)
     ok = spots_ok and worst_margin >= -1e-9
     _line(

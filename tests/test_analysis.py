@@ -25,7 +25,7 @@ from hedgelab.rates import RateParams
 
 def hedge_match(m, n, eta_x, eta_y, delta, horizon):
     a = adversarial_matrix(m, n, delta)
-    return a, record_match(a, OptimisticHedge(m, eta_x), OptimisticHedge(n, eta_y), horizon)
+    return a, record_match(a, OptimisticHedge((m, n), (eta_x, eta_y)), horizon)
 
 
 def test_zero_horizon_report_is_all_zero():
@@ -37,7 +37,7 @@ def test_zero_horizon_report_is_all_zero():
 
 def test_zero_matrix_play_has_no_regret():
     a = make_payoff_matrix(3, 3, np.zeros(9))
-    trace = record_match(a, OptimisticHedge(3, 0.5), OptimisticHedge(3, 0.5), 40)
+    trace = record_match(a, OptimisticHedge((3, 3), (0.5, 0.5)), 40)
     report = regret_report(trace)
     assert report["reg_x"] == 0.0 and report["reg_y"] == 0.0
     assert report["dreg_x"] == 0.0 and report["dreg_y"] == 0.0
@@ -48,8 +48,8 @@ def test_meter_matches_trace_report():
     a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
     # the same match twice: live-metered, then recorded
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120, observer=meter.update)
-    trace = record_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 120)
+    play_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 120, observer=meter.update)
+    trace = record_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 120)
     report = regret_report(trace)
     row = meter.snapshot()
     assert row["reg_x"] == report["reg_x"]
@@ -63,11 +63,12 @@ def test_meter_matches_trace_report():
 def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
     rng = np.random.default_rng(16)
     a = make_payoff_matrix(6, 9, rng.uniform(-1, 1, 54))
-    trace = record_match(a, AveragedHedge(6, 0.4), AveragedHedge(9, 0.3), 300)
+    trace = record_match(a, AveragedHedge((6, 9), (0.4, 0.3)), 300)
     meter = RegretMeter(a)
     assert meter.worst_scaled_pair_gap == -math.inf
     for i in range(trace.horizon):
-        meter.update(i + 1, trace.x[i], trace.y[i], trace.gains[i], trace.losses[i])
+        z = np.concatenate((trace.x[i], trace.y[i]))
+        meter.update(i + 1, z, np.concatenate((trace.gains[i], -trace.losses[i])))
     expected = max(
         (i + 1) * (float(trace.gains[i].max()) - float(trace.losses[i].min()))
         for i in range(trace.horizon)
@@ -79,8 +80,8 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
     rng = np.random.default_rng(15)
     a = make_payoff_matrix(4, 6, rng.uniform(-1, 1, 24))
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90, observer=meter.update)
-    trace = record_match(a, OptimisticHedge(4, 0.5), OptimisticHedge(6, 0.5), 90)
+    play_match(a, OptimisticHedge((4, 6), (0.5, 0.5)), 90, observer=meter.update)
+    trace = record_match(a, OptimisticHedge((4, 6), (0.5, 0.5)), 90)
     x_bar = trace.x.mean(axis=0)
     y_bar = trace.y.mean(axis=0)
     averaged_pair_gap = meter.snapshot("averaged_pair")["nash_gap"]
@@ -93,7 +94,7 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
 def test_snapshot_rows():
     a = adversarial_matrix(2, 2, 1.0)
     meter = RegretMeter(a)
-    play_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), 7, observer=meter.update)
+    play_match(a, OptimisticHedge((2, 2), (0.5, 0.5)), 7, observer=meter.update)
     row = meter.snapshot()
     assert row["t"] == 7
     assert set(row) == {"t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap"}
@@ -128,13 +129,13 @@ def test_snapshot_matches_reference_formulas():
     checked = [0]
     check(0)
 
-    def observer(t, x, y, g, loss):
-        meter.update(t, x, y, g, loss)
+    def observer(t, z, u):
+        meter.update(t, z, u)
         if t in (1, 37):
             check(t)
             checked.append(t)
 
-    play_match(a, OptimisticHedge(5, 0.5), OptimisticHedge(4, 0.3), 37, observer)
+    play_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 37, observer)
     assert checked == [0, 1, 37]
 
 

@@ -82,6 +82,14 @@ def test_simulate_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
 
+    config = tmp_path / "run.cfg"
+    config.write_text("T=5\nT=7\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 2: key 'T' given twice\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "flag",

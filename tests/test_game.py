@@ -3,7 +3,6 @@ import pytest
 
 from hedgelab import (
     OptimisticHedge,
-    UniformPlayer,
     adversarial_matrix,
     gradients,
     load_matrix_file,
@@ -102,27 +101,27 @@ def test_gradients_dimension_mismatch():
 
 
 def test_play_match_zero_rounds():
-    trace = record_match(matching_pennies(), OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), 0)
+    trace = record_match(matching_pennies(), OptimisticHedge((2, 2), (0.5, 0.5)), 0)
     assert trace.horizon == 0
 
 
 def test_play_match_first_round_uniform():
     a = adversarial_matrix(2, 3, 1.0)
-    trace = record_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(3, 0.5), 1)
+    trace = record_match(a, OptimisticHedge((2, 3), (0.5, 0.5)), 1)
     assert trace.x[0] == pytest.approx([0.5, 0.5], abs=1e-15)
     assert trace.y[0] == pytest.approx([1 / 3] * 3, abs=1e-15)
 
 
 def test_play_match_second_round_closed_form():
     a = adversarial_matrix(2, 2, 1.0)
-    trace = record_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), 2)
+    trace = record_match(a, OptimisticHedge((2, 2), (0.5, 0.5)), 2)
     assert trace.x[1][0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-12)
 
 
 def test_play_match_trace_consistency():
     rng = np.random.default_rng(11)
     a = make_payoff_matrix(5, 7, rng.uniform(-1, 1, 35))
-    trace = record_match(a, OptimisticHedge(5, 0.4), OptimisticHedge(7, 0.2), 50)
+    trace = record_match(a, OptimisticHedge((5, 7), (0.4, 0.2)), 50)
     assert trace.horizon == 50
     for i in range(50):
         g, loss = gradients(a, trace.x[i], trace.y[i])
@@ -137,7 +136,7 @@ def test_play_match_trace_consistency():
 def test_play_match_deterministic():
     a = adversarial_matrix(3, 4, 0.7)
     traces = [
-        record_match(a, OptimisticHedge(3, 0.3), OptimisticHedge(4, 0.6), 80) for _ in range(2)
+        record_match(a, OptimisticHedge((3, 4), (0.3, 0.6)), 80) for _ in range(2)
     ]
     assert np.array_equal(traces[0].x, traces[1].x)
     assert np.array_equal(traces[0].y, traces[1].y)
@@ -151,22 +150,18 @@ def test_play_match_rejects_mismatched_learners():
 
     a = matching_pennies()
     with pytest.raises(DimensionMismatchError):
-        play_match(a, OptimisticHedge(3, 0.5), OptimisticHedge(2, 0.5), 1, ignore)
+        play_match(a, OptimisticHedge((3, 2), (0.5, 0.5)), 1, ignore)
     with pytest.raises(ValueError):
-        play_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), -1, ignore)
+        play_match(a, OptimisticHedge((2, 2), (0.5, 0.5)), -1, ignore)
     with pytest.raises(ValueError):
-        record_match(a, OptimisticHedge(2, 0.5), OptimisticHedge(2, 0.5), -1)
+        record_match(a, OptimisticHedge((2, 2), (0.5, 0.5)), -1)
 
 
 def test_play_match_observer_and_memory_mode():
     a = adversarial_matrix(2, 2, 1.0)
     seen = []
     out = play_match(
-        a,
-        OptimisticHedge(2, 0.5),
-        OptimisticHedge(2, 0.5),
-        5,
-        observer=lambda t, x, y, g, loss: seen.append(t),
+        a, OptimisticHedge((2, 2), (0.5, 0.5)), 5, observer=lambda t, z, u: seen.append(t)
     )
     assert out is None
     assert seen == [1, 2, 3, 4, 5]
@@ -175,7 +170,7 @@ def test_play_match_observer_and_memory_mode():
 def test_uniform_opponent_gives_constant_gradient():
     rng = np.random.default_rng(3)
     a = make_payoff_matrix(4, 5, rng.uniform(-1, 1, 20))
-    trace = record_match(a, UniformPlayer(4), OptimisticHedge(5, 0.5), 30)
+    trace = record_match(a, OptimisticHedge((4, 5), (0.0, 0.5)), 30)
     # the column player's observed loss vector never moves
     assert np.abs(trace.losses - trace.losses[0]).max() <= 1e-15
 

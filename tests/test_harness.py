@@ -104,6 +104,9 @@ def test_load_config_file(tmp_path):
     path.write_text("speed=11\n")
     with pytest.raises(ConfigError):
         load_config_file(path)
+    path.write_text("T=5\n# later\nT = 7\n")
+    with pytest.raises(ConfigError, match="line 3: key 'T' given twice"):
+        load_config_file(path)
 
 
 def test_instance_matrix_variants(tmp_path):
@@ -221,7 +224,7 @@ def test_run_metered_matches_recorded_trace():
     a = adversarial_matrix(3, 5, 0.8)
     rp = RateParams(0.4, 0.2, 0.5, 0.5)
     row, _ = run_metered(a, "hedge", rp, 60)
-    trace = record_match(a, OptimisticHedge(3, 0.4), OptimisticHedge(5, 0.2), 60)
+    trace = record_match(a, OptimisticHedge((3, 5), (0.4, 0.2)), 60)
     assert regret_report(trace) == row
     assert row["t"] == 60
 

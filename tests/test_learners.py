@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hedgelab import AveragedHedge, OptimisticHedge, UniformPlayer, uniform_strategy
+from hedgelab import AveragedHedge, OptimisticHedge, uniform_strategy
 from hedgelab.analysis import RegretMeter
 from hedgelab.errors import (
     DimensionMismatchError,
@@ -185,16 +185,21 @@ def test_scores_below_floor_get_exactly_zero_weight():
 
 
 class PlainExpHedge(OptimisticHedge):
-    """Reference step: softmax over every score, underflowing lanes included."""
+    """Reference step: softmax over every score of each block, underflowing
+    lanes included."""
 
     below_floor = False
 
     def next_strategy(self):
-        scores = self.rate * (self.cum + self.last)
-        scores -= scores.max()
-        self.below_floor |= bool(scores.min() < EXP_FLOOR)
-        np.exp(scores, out=scores)
-        return scores / scores.sum()
+        strategies = []
+        cuts = np.cumsum(self.dims)[:-1]
+        for cum, last, rate in zip(np.split(self.cum, cuts), np.split(self.last, cuts), self.rates):
+            scores = rate * (cum + last)
+            scores -= scores.max()
+            self.below_floor |= bool(scores.min() < EXP_FLOOR)
+            np.exp(scores, out=scores)
+            strategies.append(scores / scores.sum())
+        return np.concatenate(strategies)
 
 
 @pytest.mark.parametrize("instance", ["adversarial", "uniform"])
@@ -207,12 +212,12 @@ def test_floor_leaves_match_regrets_bit_identical(instance):
         payoffs = make_payoff_matrix(m, n, rng.uniform(-1, 1, m * n))
     reports = []
     for cls in (OptimisticHedge, PlainExpHedge):
-        x_learner, y_learner = cls(m, 2.0), cls(n, 2.0)
+        players = cls((m, n), (2.0, 2.0))
         meter = RegretMeter(payoffs)
-        play_match(payoffs, x_learner, y_learner, horizon, observer=meter.update)
+        play_match(payoffs, players, horizon, observer=meter.update)
         reports.append(meter.snapshot())
     # the rate drives some column weights below the floor within the horizon
-    assert y_learner.below_floor
+    assert players.below_floor
     guarded, plain = reports
     assert guarded == plain
 
@@ -226,14 +231,27 @@ def test_constructor_validation():
         OptimisticHedge(2, np.nan)
     with pytest.raises(ValueError):
         uniform_strategy(0)
+    for dims, rates in (((2, 3), (0.5,)), ((), ()), ((2, 0), (0.5, 0.5)), ((2, 3), (0.5, -0.1))):
+        with pytest.raises(ValueError):
+            OptimisticHedge(dims, rates)
+        with pytest.raises(ValueError):
+            AveragedHedge(dims, rates)
 
 
 def test_uniform_player():
-    player = UniformPlayer(4)
-    assert player.next_strategy() == pytest.approx([0.25] * 4, abs=1e-15)
+    # a rate-0 learner is the uniform player, exactly, also as one block of two
+    player = OptimisticHedge(4, 0.0)
+    assert np.array_equal(player.next_strategy(), uniform_strategy(4))
     player.observe(np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         player.observe(np.zeros(3))
+    for dims, rates in (((4, 3), (0.0, 0.5)), ((3, 4), (0.5, 0.0)), ((3, 4, 2), (0.5, 0.0, 0.7))):
+        pair = OptimisticHedge(dims, rates)
+        for _ in range(5):
+            z = pair.next_strategy()
+            start = sum(dims[: dims.index(4)])
+            assert np.array_equal(z[start : start + 4], uniform_strategy(4))
+            pair.observe(np.linspace(-1.0, 1.0, sum(dims)))
 
 
 def averaged_self_play(m, n, rate_x, rate_y, horizon, seed=9):
@@ -322,7 +340,7 @@ class KahanHatAveragedHedge(AveragedHedge):
         recon = self.round * u - self.hat_sum
         self.last_reconstructed = recon
         self.inner.observe(recon)
-        _kahan_add(self.hat_sum, self.hat_comp, recon)
+        _kahan_add(self.hat_sum, self.hat_comp, recon, np.empty(self.dim), np.empty(self.dim))
         self.round += 1
         self._pending = None
 

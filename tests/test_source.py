@@ -2,7 +2,10 @@
 
 import argparse
 import ast
+import importlib
+import importlib.util
 import inspect
+import sys
 import textwrap
 from pathlib import Path
 
@@ -13,10 +16,11 @@ from hedgelab.analysis import RegretMeter
 from hedgelab.cli import _add_config_flags
 from hedgelab.game import play_match
 from hedgelab.harness import CONFIG_KEYS, run_metered
-from hedgelab.learners import OptimisticHedge, _checked_utilities
+from hedgelab.learners import AveragedHedge, OptimisticHedge, _checked_utilities, _kahan_add
 
 PACKAGE = Path(hedgelab.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+BENCHMARKS = TESTS.parent / "benchmarks"
 
 
 def all_entries(node):
@@ -182,6 +186,10 @@ def test_slow_call_finder():
     "func",
     [
         OptimisticHedge.next_strategy,
+        OptimisticHedge.observe,
+        AveragedHedge.next_strategy,
+        AveragedHedge.observe,
+        _kahan_add,
         _checked_utilities,
         RegretMeter.update,
         RegretMeter.snapshot,
@@ -192,3 +200,23 @@ def test_slow_call_finder():
 )
 def test_per_round_code_makes_no_reduce_calls(func):
     assert slow_calls(inspect.getsource(func)) == []
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # The benchmark's tracer times these callables by name and counts rounds
+    # from play_match's arguments; a hook that no longer resolves is reported
+    # absent and its per-layer metrics go missing, and a renamed play_match
+    # parameter leaves game.rounds miscounted.
+    spec = importlib.util.spec_from_file_location("tracing", BENCHMARKS / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
+    spec.loader.exec_module(tracing)
+    missing = []
+    for hook in tracing.HOOKS:
+        target = importlib.import_module(hook.module)
+        for name in hook.attr.split("."):
+            target = getattr(target, name, None)
+        if not callable(target):
+            missing.append(f"{hook.module}.{hook.attr}")
+    assert not missing
+    assert {"payoffs", "horizon", "observer"} <= set(inspect.signature(play_match).parameters)
