@@ -21,9 +21,8 @@ class RegretMeter:
 
     def __init__(self, payoffs: PayoffMatrix):
         self.m = payoffs.m
-        # running sums of u = (gains, -losses): cum_gain, then minus cum_loss
-        self._cum = np.zeros(payoffs.m + payoffs.n)
-        self.cum_gain = self._cum[: payoffs.m]
+        self.cum_gain = np.zeros(payoffs.m)
+        self.cum_loss = np.zeros(payoffs.n)
         self.gain_total = 0.0
         self.loss_total = 0.0
         self.dreg_x = 0.0
@@ -34,17 +33,14 @@ class RegretMeter:
 
     def update(self, t, z, u):
         """Count round t from z = (x, y) and u = (gains, -losses), as
-        play_match hands them over. The loss side is read negated: -top(-l)
-        is bottom(l) bit for bit, while -(y . -l) and the running sum of -l
-        equal y . l and minus the running sum of l up to the sign of an exact
-        zero. That sign cannot show: these values only add to or subtract
-        from totals that start at +0.0 and so never hold -0.0, and cum_loss
-        reads the running sum as 0.0 - s, which is +0.0 at an exact zero as
-        the sum of the losses is. Every metric therefore equals the one taken
-        over the losses themselves, bit for bit."""
+        play_match hands them over. The losses are read negated, with the
+        same bits: s - (-l) is s + l, and -top(-l) is bottom(l); -(y . -l)
+        may differ from y . l only in the sign of an exact zero, which
+        vanishes in the totals it feeds, all of which start at +0.0."""
         m = self.m
         x, y, g, neg_loss = z[:m], z[m:], u[:m], u[m:]
-        self._cum += u
+        self.cum_gain += g
+        self.cum_loss -= neg_loss
         px = float(x.dot(g))
         py = -float(y.dot(neg_loss))
         self.gain_total += px
@@ -57,11 +53,6 @@ class RegretMeter:
         self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, t * self.last_pair_gap)
         self.rounds = t
 
-    @property
-    def cum_loss(self) -> np.ndarray:
-        """The column player's running loss sums (see update)."""
-        return 0.0 - self._cum[self.m :]
-
     def snapshot(self, gap_mode: str = "averaged_pair") -> dict:
         """Metric row (harness.METRIC_COLUMNS) at the current round, all 0
         before the first. reg_x / reg_y compare against the best fixed action
@@ -69,7 +60,7 @@ class RegretMeter:
         dreg >= reg; gap_mode picks the pair nash_gap describes, the
         time-averaged one ("averaged_pair") or this round's ("last_pair")."""
         best_gain = top(self.cum_gain)
-        least_loss = -top(self._cum[self.m :])  # bottom(cum_loss) up to a zero sign
+        least_loss = bottom(self.cum_loss)
         if gap_mode == "averaged_pair":
             gap = (best_gain - least_loss) / self.rounds if self.rounds else 0.0
         elif gap_mode == "last_pair":

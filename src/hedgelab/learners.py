@@ -23,11 +23,6 @@ UTILITY_SLACK = 1e-9
 # a normal float after dividing by the sum for any dim up to 1e7.
 EXP_FLOOR = -690.0
 
-# A learner state of up to this many entries shifts and normalises all its
-# blocks with one ufunc call each; a longer one, block by block (see
-# OptimisticHedge.__init__). The bits are the same either way.
-STACKED_DIM = 1024
-
 
 # The largest and smallest entry of a non-empty float vector, read by index:
 # on short vectors argmax/argmin plus item cost a fraction of a ufunc reduce.
@@ -73,9 +68,9 @@ class OptimisticHedge:
     vector: OptimisticHedge(d, rate) is one player, OptimisticHedge((m, n),
     (eta_x, eta_y)) the two players of a match. Strategies, utilities and
     the running sums are the players' vectors end to end, so each
-    elementwise step runs once for all of them; only the extremes and the
-    normalisation run per block. Every block gets the same bits as a
-    learner of its own.
+    elementwise step runs once for all of them; only the extremes, the
+    shift and the normalisation run per block. Every block gets the same
+    bits as a learner of its own.
 
     Weights below e^EXP_FLOOR = e^-690 of the leader's are played as exactly
     0: those actions would get probability below 2.9e-300, and every other
@@ -96,70 +91,50 @@ class OptimisticHedge:
         self.dim = sum(self.dims)
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
-        # Only blocks with rate > 0 run the step; a rate-0 block plays 1/dim in
-        # each entry. The step's elementwise passes cover the span from the
-        # first to the last stepped block, so a rate-0 block at either end
-        # costs nothing. Each stepped block's leading score and weight sum go
-        # to `shift` and `total`: on a short state these are the block's views
-        # of per-entry vectors, so that one subtraction and one division serve
-        # every block; on a long one, where filling such vectors costs more
-        # than the calls they save, they are 0-d arrays (a ufunc takes those
-        # faster than floats) and each block subtracts and divides on its own.
-        self._stacked = self.dim <= STACKED_DIM
-        self._scores = np.ones(self.dim)  # next_strategy's work buffer
-        self._shift = np.zeros(self.dim)
-        self._total = np.empty(self.dim)
+        # Only blocks with rate > 0 run the step; a rate-0 block plays its
+        # uniform strategy. The step's elementwise passes cover the span from
+        # the first to the last stepped block, so a rate-0 block at either end
+        # costs nothing. Each stepped block sums its weights into a 0-d
+        # array, which the division takes faster than a float.
+        self._scores = np.empty(self.dim)  # next_strategy's work buffer
         ends = np.cumsum(self.dims).tolist()
         self._stepped, self._uniform = [], []
         for dim, end, rate in zip(self.dims, ends, self.rates):
             where = slice(end - dim, end)
             if rate == 0.0:
-                self._uniform.append((where, 1.0 / dim))
-                self._total[where] = dim  # over scores of exp(0) = 1
-            elif self._stacked:
-                views = self._scores[where], self._shift[where], self._total[where]
-                self._stepped.append((where, *views))
+                self._uniform.append((where, uniform_strategy(dim)))
             else:
-                self._stepped.append((where, self._scores[where], np.empty(()), np.empty(())))
+                self._stepped.append((where, self._scores[where], np.empty(())))
         stepped = [where for where, *_ in self._stepped]
         self._span = slice(stepped[0].start, stepped[-1].stop) if stepped else slice(0)
         self._cum_span = self.cum[self._span]
         self._scores_span = self._scores[self._span]
-        self._shift_span = self._shift[self._span]
         self._rate_span = np.repeat(self.rates, self.dims)[self._span]
 
     def next_strategy(self) -> np.ndarray:
         scores = np.add(self._cum_span, self.last[self._span], self._scores_span)
         scores *= self._rate_span
         floor = False
-        for _, block, shift, _ in self._stepped:
+        for _, block, _ in self._stepped:
             hi, lo = top(block), bottom(block)  # both NaN if any score is
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise NonFiniteWeightError("non-finite exponential-weights score")
-            shift.fill(hi)
-            if not self._stacked:
-                np.subtract(block, shift, block)  # keep every exponent <= 0
+            block -= hi  # keep every exponent <= 0
             floor = floor or lo - hi < EXP_FLOOR
-        if self._stacked:
-            scores -= self._shift_span
         # Over a block with no score below the floor the mask is a no-op with
         # the same bits, so one pass serves every block.
         if floor:
             live = scores >= EXP_FLOOR
             np.maximum(scores, EXP_FLOOR, out=scores)
-            np.exp(scores, scores)
+            np.exp(scores, out=scores)
             scores *= live
         else:
-            np.exp(scores, scores)
-        if self._stacked:
-            for _, block, _, total in self._stepped:
-                total.fill(np.add.reduce(block))
-            return self._scores / self._total
+            np.exp(scores, out=scores)
         z = np.empty(self.dim)
-        for where, block, _, total in self._stepped:
+        for where, block, total in self._stepped:
             np.divide(block, np.add.reduce(block, out=total), z[where])
-        for where, p in self._uniform:
-            z[where] = p
+        for where, uniform in self._uniform:
+            z[where] = uniform
         return z
 
     def observe(self, utilities) -> None:

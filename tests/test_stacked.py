@@ -5,8 +5,7 @@ with one RegretMeter update per round. The reference below drives one
 learner per player, feeds each its own feedback vector, and meters with the
 per-player sums written inline, the way the acceptance check C8 drives the
 averaged learners. Every round and the final metric row must be equal bit
-for bit. The games up to 10x10 run the step's stacked layout (one shift and
-one division for all blocks), the 2x10000 games the block-by-block one.
+for bit.
 """
 
 import numpy as np
@@ -23,7 +22,6 @@ from hedgelab import (
     play_match,
     preset_rates,
 )
-from hedgelab import learners
 
 ALGORITHMS = {"hedge": OptimisticHedge, "averaged": AveragedHedge}
 # Rates well above the presets' push weights below the floor within 300 rounds.
@@ -121,25 +119,6 @@ def test_stacked_engine_equals_reference_loop(payoffs, algorithm):
             floored |= any((x == 0.0).any() or (y == 0.0).any() for x, y, _, _ in got)
     if algorithm == "hedge" and payoffs.n == 10000 and payoffs.entries[0, 1] == 1.0:
         assert floored  # the adversarial 2x10000 game takes the floor branch
-
-
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_step_layouts_give_the_same_bits(algorithm, monkeypatch):
-    # the short games again, with the block-by-block layout forced
-    cls = ALGORITHMS[algorithm]
-    default = learners.STACKED_DIM
-    for name, payoffs in games():
-        m, n = payoffs.m, payoffs.n
-        if m + n > default:
-            continue
-        rates = [preset_rates(preset, m, n) for preset in PRESETS]
-        for pair in [(rp.eta_x, rp.eta_y) for rp in rates] + [STEEP]:
-            monkeypatch.setattr(learners, "STACKED_DIM", default)
-            stacked, _ = stacked_match(payoffs, cls, pair, 100)
-            monkeypatch.setattr(learners, "STACKED_DIM", 0)
-            by_block, _ = stacked_match(payoffs, cls, pair, 100)
-            for a, b in zip(stacked, by_block, strict=True):
-                assert all(np.array_equal(u, v) for u, v in zip(a, b)), (name, pair)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 17, 100, 129, 1000, 10000])
