@@ -27,7 +27,6 @@ from .game import (
 )
 from .learners import AveragedHedge, OptimisticHedge, uniform_strategy
 from .optim import (
-    OptimizeOptions,
     OptimizeResult,
     eval_log_bounds,
     gradient_check,
@@ -58,7 +57,6 @@ __all__ = [
     "LowerBoundValue",
     "MatchTrace",
     "OptimisticHedge",
-    "OptimizeOptions",
     "OptimizeResult",
     "PRESETS",
     "PRESET_TARGETS",

@@ -14,17 +14,20 @@ from .learners import bottom, top
 class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
-    Its update method is a play_match observer. Argmax bookkeeping runs on
-    cumulative vectors, so nothing per-round is retained, not even for
-    worst_scaled_pair_gap, the max over rounds of t * (round-t pair's gap).
+    Each player is metered in the utilities it learns from, u = (A y,
+    -A^T x) as play_match hands them over: cum is their running sum, the
+    same sum the learners keep, and a player's regret is its best fixed
+    action's total minus what it earned. Its update method is a play_match
+    observer. Argmax bookkeeping runs on cumulative vectors, so nothing
+    per-round is retained, not even for worst_scaled_pair_gap, the max over
+    rounds of t * (round-t pair's gap).
     """
 
     def __init__(self, payoffs: PayoffMatrix):
         self.m = payoffs.m
-        self.cum_gain = np.zeros(payoffs.m)
-        self.cum_loss = np.zeros(payoffs.n)
-        self.gain_total = 0.0
-        self.loss_total = 0.0
+        self.cum = np.zeros(payoffs.m + payoffs.n)
+        self.played_x = 0.0
+        self.played_y = 0.0
         self.dreg_x = 0.0
         self.dreg_y = 0.0
         self.rounds = 0
@@ -32,24 +35,17 @@ class RegretMeter:
         self.worst_scaled_pair_gap = -math.inf
 
     def update(self, t, z, u):
-        """Count round t from z = (x, y) and u = (gains, -losses), as
-        play_match hands them over. The losses are read negated, with the
-        same bits: s - (-l) is s + l, and -top(-l) is bottom(l); -(y . -l)
-        may differ from y . l only in the sign of an exact zero, which
-        vanishes in the totals it feeds, all of which start at +0.0."""
+        """Count round t from z = (x, y) and u = (A y, -A^T x)."""
         m = self.m
-        x, y, g, neg_loss = z[:m], z[m:], u[:m], u[m:]
-        self.cum_gain += g
-        self.cum_loss -= neg_loss
-        px = float(x.dot(g))
-        py = -float(y.dot(neg_loss))
-        self.gain_total += px
-        self.loss_total += py
-        gmax = top(g)
-        lmin = -top(neg_loss)
-        self.dreg_x += gmax - px
-        self.dreg_y += py - lmin
-        self.last_pair_gap = gmax - lmin
+        x, y, ux, uy = z[:m], z[m:], u[:m], u[m:]
+        self.cum += u
+        px, py = float(x.dot(ux)), float(y.dot(uy))
+        self.played_x += px
+        self.played_y += py
+        bx, by = top(ux), top(uy)
+        self.dreg_x += bx - px
+        self.dreg_y += by - py
+        self.last_pair_gap = bx + by
         self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, t * self.last_pair_gap)
         self.rounds = t
 
@@ -59,16 +55,15 @@ class RegretMeter:
         in hindsight, dreg_x / dreg_y against each round's best action, so
         dreg >= reg; gap_mode picks the pair nash_gap describes, the
         time-averaged one ("averaged_pair") or this round's ("last_pair")."""
-        best_gain = top(self.cum_gain)
-        least_loss = bottom(self.cum_loss)
+        best_x, best_y = top(self.cum[: self.m]), top(self.cum[self.m :])
         if gap_mode == "averaged_pair":
-            gap = (best_gain - least_loss) / self.rounds if self.rounds else 0.0
+            gap = (best_x + best_y) / self.rounds if self.rounds else 0.0
         elif gap_mode == "last_pair":
             gap = self.last_pair_gap
         else:
             raise ValueError(f"unknown gap_mode {gap_mode!r}")
-        rx = best_gain - self.gain_total
-        ry = self.loss_total - least_loss
+        rx = best_x - self.played_x
+        ry = best_y - self.played_y
         return {
             "t": self.rounds,
             "reg_x": rx,

@@ -45,10 +45,6 @@ class DegenerateGameError(ValueError):
     """A cardinality-aware formula needs both players to have >= 2 actions."""
 
 
-class MissingHorizonError(ValueError):
-    """A horizon-dependent bound was requested without a horizon."""
-
-
 class InvalidGammaError(ValueError):
     """The tradeoff weight must lie in [0, 1]."""
 

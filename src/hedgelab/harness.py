@@ -237,7 +237,7 @@ def plan_matches(cfg: ExperimentConfig, payoffs: PayoffMatrix):
         if cfg.algorithm == "hedge":
             target, bound = PRESET_TARGETS[preset], theoretical_upper(preset, m, n)
         elif preset in SOCIAL_PRESETS:
-            target, bound = "max_dreg", theoretical_upper(preset, m, n, cfg.horizon, dynamic=True)
+            target, bound = "max_dreg", theoretical_upper(preset, m, n, cfg.horizon)
         else:
             target, bound = "max_dreg", ""
         plan.append((preset, rp, target, bound))
@@ -296,6 +296,15 @@ def sweep_gamma(m: int, n: int, grid=None, out_path=None):
 
 
 def _sweep_row(objective, gamma, res):
+    """One solve's sweep row. The row is written even when the solve did not
+    converge, so that is logged as a warning."""
+    if not res.converged:
+        # Imported only here: no other path logs, and importing logging adds
+        # to every run's peak memory.
+        import logging
+        at = f" at gamma={gamma!r}" if objective == "weighted" else ""
+        msg = "sweep-gamma: %s solve%s did not converge after %d iterations"
+        logging.getLogger("hedgelab").warning(msg, objective, at, res.iterations)
     return {
         "objective": objective,
         "gamma": gamma,

@@ -38,6 +38,8 @@ ARMIJO = 1e-4
 DECREMENT_TOL = 1e-15
 # The min-max bisection stops once the two surfaces agree to this relative gap.
 BALANCE_TOL = 1e-12
+# Bound on the Newton iterations of one solve, bisection steps included.
+MAX_ITERS = 20000
 
 
 def _eval_posy(coefs: np.ndarray, expos: np.ndarray, z: np.ndarray):
@@ -58,12 +60,6 @@ def eval_log_bounds(coords, b: BoundInputs):
     bx, gx = _eval_posy(*x_table, z)
     by, gy = _eval_posy(*y_table, z)
     return bx, by, gx, gy
-
-
-@dataclass(frozen=True)
-class OptimizeOptions:
-    # Bound on the Newton iterations of one solve, bisection steps included.
-    max_iters: int = 20000
 
 
 @dataclass(frozen=True)
@@ -153,12 +149,7 @@ def _default_start(b: BoundInputs) -> np.ndarray:
     )
 
 
-def minimize(
-    objective: str,
-    b: BoundInputs,
-    gamma: float | None = None,
-    options: OptimizeOptions | None = None,
-) -> OptimizeResult:
+def minimize(objective: str, b: BoundInputs, gamma: float | None = None) -> OptimizeResult:
     """Minimize one of the bound objectives over the transformed points.
 
     objective is "social" (sum of the social terms), "weighted" (gamma times
@@ -166,14 +157,13 @@ def minimize(
     or "max" (the worse of the two bounds). The social optimum sits at zero
     slack, where both individual bounds are infinite by design.
     """
-    opts = options or OptimizeOptions()
     if b.log_m <= 0 or b.log_n <= 0:
         raise DegenerateGameError("bound objectives need m >= 2 and n >= 2")
     z0 = _default_start(b)
 
     if objective == "social":
         coefs, expos = social_table(b)
-        z, iters, converged = _newton(coefs, expos, z0[:2], opts.max_iters)
+        z, iters, converged = _newton(coefs, expos, z0[:2], MAX_ITERS)
         point = TransformedParams(math.exp(z[0]), math.exp(z[1]), 0.0, 0.0)
         value = _eval_posy(coefs, expos, z)[0]
         return OptimizeResult(
@@ -189,11 +179,11 @@ def minimize(
     if objective == "weighted":
         if gamma is None or not (0.0 <= gamma <= 1.0):
             raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
-        z, iters, converged = _solve_weighted(*bound_tables(b), gamma, z0, opts.max_iters)
+        z, iters, converged = _solve_weighted(*bound_tables(b), gamma, z0, MAX_ITERS)
         return _result_at(z, b, iters, converged, weight=gamma)
 
     if objective == "max":
-        z, iters, converged = _minimize_max(*bound_tables(b), z0, opts.max_iters)
+        z, iters, converged = _minimize_max(*bound_tables(b), z0, MAX_ITERS)
         return _result_at(z, b, iters, converged)
 
     raise ValueError(f"unknown objective {objective!r}")
@@ -220,7 +210,7 @@ def _result_at(
     )
 
 
-def minimize_unaware_coefficients(options: OptimizeOptions | None = None):
+def minimize_unaware_coefficients():
     """Minimize the worst of the four size-independent bound coefficients.
 
     Returns (point, worst_coefficient). Whatever the action counts, each
@@ -233,9 +223,8 @@ def minimize_unaware_coefficients(options: OptimizeOptions | None = None):
     y tables equal the x tables, and the problem is the min-max of the two
     x tables over (log a, log s).
     """
-    opts = options or OptimizeOptions()
     x_tables = [(np.ones(e.shape[0]), e[:, [0, 2]] + e[:, [1, 3]]) for e in UNAWARE_TABLES[:2]]
-    z, _, _ = _minimize_max(*x_tables, np.zeros(2), opts.max_iters)
+    z, _, _ = _minimize_max(*x_tables, np.zeros(2), MAX_ITERS)
     coords = z[[0, 0, 1, 1]]
     worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in UNAWARE_TABLES)
     point = TransformedParams(*(math.exp(v) for v in coords))

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DegenerateGameError,
     InfeasibleError,
-    MissingHorizonError,
     OutOfDomainError,
     ZeroRateError,
 )
@@ -349,24 +348,16 @@ def preset_rates(name: str, m: int, n: int) -> RateParams:
     return RateParams(eta_x, eta_y, split, split)  # A-Social
 
 
-def theoretical_upper(
-    name: str,
-    m: int,
-    n: int,
-    horizon: int | None = None,
-    dynamic: bool = False,
-) -> float:
+def theoretical_upper(name: str, m: int, n: int, horizon: int | None = None) -> float:
     """Regret bound the named preset promises for its target metric.
 
-    With dynamic=True (social presets only) the bound covers the worse
-    player's dynamic regret and grows with the horizon, which must be given.
+    Given a horizon (social presets only), the bound covers the worse
+    player's dynamic regret instead, which grows with the horizon.
     """
     _check_preset(name)
-    if dynamic:
+    if horizon is not None:
         if name not in SOCIAL_PRESETS:
             raise ValueError(f"preset {name} carries no dynamic-regret bound")
-        if horizon is None:
-            raise MissingHorizonError("dynamic bounds need a horizon")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         return theoretical_upper(name, m, n) * (math.log(horizon) + 1.0)

@@ -258,7 +258,7 @@ def test_c09_dynamic_regret_sandwich():
         a = adversarial_matrix(m, m, lb.delta_star)
         rp = preset_rates("U-Social", m, m)
         _, meter = run_metered(a, "averaged", rp, HORIZON)
-        upper = theoretical_upper("U-Social", m, m, HORIZON, dynamic=True)
+        upper = theoretical_upper("U-Social", m, m, HORIZON)
         results.append((m, lb.value, meter.dreg_x, upper))
     ok = spot_ok and all(lo - 1e-9 <= d <= hi for _, lo, d, hi in results)
     spans = "; ".join(f"m={m}: {lo:.3f} <= {d:.3f} <= {hi:.1f}" for m, lo, d, hi in results)

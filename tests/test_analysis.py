@@ -107,12 +107,13 @@ def test_snapshot_matches_reference_formulas():
     rng = np.random.default_rng(21)
     a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
     meter = RegretMeter(a)
+    # per-player sums of the gains g = A y and the losses A^T x, kept here
+    cum_gain, cum_loss = np.zeros(5), np.zeros(4)
+    gain_total = loss_total = dreg_x = dreg_y = last_pair_gap = 0.0
 
     def check(t):
-        # the former reg_x / reg_y / averaged_pair_gap reads, written inline
-        best_gain, least_loss = float(meter.cum_gain.max()), float(meter.cum_loss.min())
-        reg_x = best_gain - meter.gain_total if t else 0.0
-        reg_y = meter.loss_total - least_loss if t else 0.0
+        best_gain, least_loss = float(cum_gain.max()), float(cum_loss.min())
+        reg_x, reg_y = best_gain - gain_total, loss_total - least_loss
         averaged = (best_gain - least_loss) / t if t else 0.0
         want = {
             "t": t,
@@ -120,17 +121,28 @@ def test_snapshot_matches_reference_formulas():
             "reg_y": reg_y,
             "social": reg_x + reg_y,
             "max_ind": max(reg_x, reg_y),
-            "dreg_x": meter.dreg_x,
-            "dreg_y": meter.dreg_y,
+            "dreg_x": dreg_x,
+            "dreg_y": dreg_y,
         }
         assert meter.snapshot("averaged_pair") == {**want, "nash_gap": averaged}, t
-        assert meter.snapshot("last_pair") == {**want, "nash_gap": meter.last_pair_gap}, t
+        assert meter.snapshot("last_pair") == {**want, "nash_gap": last_pair_gap}, t
 
     checked = [0]
     check(0)
 
     def observer(t, z, u):
+        nonlocal cum_gain, cum_loss, gain_total, loss_total, dreg_x, dreg_y, last_pair_gap
         meter.update(t, z, u)
+        x, y, g, loss = z[:5], z[5:], u[:5], -u[5:]
+        cum_gain += g
+        cum_loss += loss
+        px, py = float(x @ g), float(y @ loss)
+        gain_total += px
+        loss_total += py
+        gmax, lmin = float(g.max()), float(loss.min())
+        dreg_x += gmax - px
+        dreg_y += py - lmin
+        last_pair_gap = gmax - lmin
         if t in (1, 37):
             check(t)
             checked.append(t)

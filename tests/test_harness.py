@@ -248,7 +248,7 @@ def test_plan_matches_holds_each_preset_to_its_bound(algorithm):
             assert (target, bound) == (PRESET_TARGETS[preset], theoretical_upper(preset, 3, 7))
         elif preset in SOCIAL_PRESETS:
             assert target == "max_dreg"
-            assert bound == theoretical_upper(preset, 3, 7, 50, dynamic=True)
+            assert bound == theoretical_upper(preset, 3, 7, 50)
         else:
             assert (target, bound) == ("max_dreg", "")
 
@@ -293,6 +293,18 @@ def test_sweep_gamma_rows(tmp_path):
         sweep_gamma(4, 4, grid=(0.5, 1.0))
     with pytest.raises(InvalidGammaError):
         sweep_gamma(4, 4, grid=())
+
+
+def test_sweep_gamma_warns_on_unconverged_solves(caplog):
+    caplog.set_level("WARNING", logger="hedgelab")
+    sweep_gamma(10, 10, grid=(0.25, 0.5, 0.75))
+    assert caplog.records == []
+    rows = sweep_gamma(2, 3, grid=(1e-300,))
+    assert [r.getMessage() for r in caplog.records] == [
+        "sweep-gamma: weighted solve at gamma=1e-300 did not converge after 14 iterations"
+    ]
+    assert caplog.records[0].name == "hedgelab"
+    assert rows[0]["x_bound"] > 1e7  # the row is still written as solved
 
 
 def test_verify_bounds_hedge(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from hedgelab import (
     BoundInputs,
-    OptimizeOptions,
     TransformedParams,
     eval_log_bounds,
     from_transformed,
@@ -16,6 +15,7 @@ from hedgelab import (
     minimize_unaware_coefficients,
     preset_rates,
 )
+from hedgelab import optim
 from hedgelab.errors import DegenerateGameError, InvalidGammaError
 from hedgelab.harness import DEFAULT_GAMMA_GRID
 
@@ -144,7 +144,7 @@ def test_weighted_endpoints_clamp():
         res = minimize("weighted", UNIT, gamma=gamma)
         assert not res.converged
         # pinned coordinates stop the solve well inside the budget
-        assert res.iterations < OptimizeOptions().max_iters
+        assert res.iterations < optim.MAX_ITERS
 
 
 def test_max_objective_symmetric_sizes():
@@ -197,9 +197,9 @@ def test_minimize_validation():
         minimize("everything", UNIT)
 
 
-def test_iteration_budget_is_respected():
-    opts = OptimizeOptions(max_iters=3)
-    res = minimize("weighted", UNIT, gamma=0.3, options=opts)
+def test_iteration_budget_is_respected(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_ITERS", 3)
+    res = minimize("weighted", UNIT, gamma=0.3)
     assert res.iterations <= 3
     assert not res.converged
 

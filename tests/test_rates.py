@@ -23,7 +23,6 @@ from hedgelab import (
 from hedgelab.errors import (
     DegenerateGameError,
     InfeasibleError,
-    MissingHorizonError,
     OutOfDomainError,
     ZeroRateError,
 )
@@ -281,12 +280,10 @@ def test_theoretical_upper_values():
 
 def test_dynamic_upper_bounds():
     base = theoretical_upper("U-Social", 2, 2)
-    dyn = theoretical_upper("U-Social", 2, 2, horizon=2000, dynamic=True)
+    dyn = theoretical_upper("U-Social", 2, 2, horizon=2000)
     assert dyn == pytest.approx(base * (math.log(2000.0) + 1.0), rel=1e-14)
-    with pytest.raises(MissingHorizonError):
-        theoretical_upper("A-Social", 2, 2, dynamic=True)
     with pytest.raises(ValueError):
-        theoretical_upper("U-X-only", 2, 2, horizon=100, dynamic=True)
+        theoretical_upper("U-X-only", 2, 2, horizon=100)
 
 
 def test_am_gm_dominance():

@@ -132,6 +132,47 @@ def test_every_module_level_name_is_read():
     assert not unread
 
 
+def raised_names(source: str):
+    """Names of what `source` raises, called or not, plain or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def test_raised_name_finder():
+    source = (
+        "from . import errors\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ConfigError(f'bad {x}')\n"
+        "    try:\n"
+        "        g()\n"
+        "    except KeyError as exc:\n"
+        "        raise errors.MatrixFormatError('no') from exc\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise BareError\n"
+        "def h():\n"
+        "    return UnraisedError('built, never raised')\n"
+    )
+    assert raised_names(source) == {"ConfigError", "MatrixFormatError", "BareError"}
+
+
+def test_every_error_class_is_raised():
+    # An error class outlives its last raise unnoticed otherwise: importing
+    # it in a test counts as a read for test_every_module_level_name_is_read.
+    raised = set().union(*(raised_names(p.read_text()) for p in PACKAGE.glob("*.py")))
+    classes = [name for _, name in defined_names((PACKAGE / "errors.py").read_text())]
+    assert classes
+    assert [name for name in classes if name not in raised] == []
+
+
 def test_config_flags_are_the_config_keys():
     parser = argparse.ArgumentParser()
     _add_config_flags(parser)

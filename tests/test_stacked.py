@@ -71,14 +71,21 @@ def reference_match(payoffs, cls, rates, horizon):
 def stacked_match(payoffs, cls, rates, horizon):
     m = payoffs.m
     meter = RegretMeter(payoffs)
+    players = cls((m, payoffs.n), rates)
     rounds = []
 
     def observer(t, z, u):
         rounds.append((z[:m].copy(), z[m:].copy(), u[:m].copy(), -u[m:]))
         meter.update(t, z, u)
 
-    play_match(payoffs, cls((m, payoffs.n), rates), horizon, observer)
-    return rounds, meter
+    play_match(payoffs, players, horizon, observer)
+    return rounds, meter, players
+
+
+def row_bytes(row):
+    """A metric row's values as bytes, so a zero's sign counts, as it does
+    in the CSVs."""
+    return {key: np.float64(value).tobytes() for key, value in row.items()}
 
 
 def games():
@@ -91,6 +98,10 @@ def games():
         signed[:, 0] = 0.0
         signed[0, :] = -0.0
         yield f"signed-zeros-{m}x{n}", PayoffMatrix(signed)
+        yield f"all-zero-{m}x{n}", PayoffMatrix(np.zeros((m, n)))
+        alternating = np.zeros((m, n))
+        alternating[1::2] = -0.0
+        yield f"alternating-zero-rows-{m}x{n}", PayoffMatrix(alternating)
     yield "matching-pennies", matching_pennies()
 
 
@@ -107,15 +118,17 @@ def test_stacked_engine_equals_reference_loop(payoffs, algorithm):
             want, averaged, last_pair, cum_gain, cum_loss = reference_match(
                 payoffs, cls, rates, horizon
             )
-            got, meter = stacked_match(payoffs, cls, rates, horizon)
+            got, meter, players = stacked_match(payoffs, cls, rates, horizon)
             for t, (g_round, w_round) in enumerate(zip(got, want, strict=True), start=1):
                 for g_vec, w_vec in zip(g_round, w_round, strict=True):
                     assert np.array_equal(g_vec, w_vec), (rates, horizon, t)
-            assert meter.snapshot("averaged_pair") == averaged, (rates, horizon)
-            assert meter.snapshot("last_pair") == last_pair, (rates, horizon)
-            # the meter's sums keep the per-player sums' bits, zero signs included
-            assert meter.cum_gain.tobytes() == cum_gain.tobytes()
-            assert meter.cum_loss.tobytes() == cum_loss.tobytes()
+            for mode, row in (("averaged_pair", averaged), ("last_pair", last_pair)):
+                assert row_bytes(meter.snapshot(mode)) == row_bytes(row), (mode, rates, horizon)
+            # the meter's sum keeps the per-player sums' bits, zero signs included
+            assert meter.cum[:m].tobytes() == cum_gain.tobytes()
+            assert (0.0 - meter.cum[m:]).tobytes() == cum_loss.tobytes()
+            if algorithm == "hedge":  # the plain learner sums the same u from zero
+                assert meter.cum.tobytes() == players.cum.tobytes()
             floored |= any((x == 0.0).any() or (y == 0.0).any() for x, y, _, _ in got)
     if algorithm == "hedge" and payoffs.n == 10000 and payoffs.entries[0, 1] == 1.0:
         assert floored  # the adversarial 2x10000 game takes the floor branch
