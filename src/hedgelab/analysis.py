@@ -1,4 +1,4 @@
-"""Regret and Nash-gap metering, plus closed forms for the adversarial instance."""
+"""Regret and Nash-gap metering, plus the regret floors of the adversarial instance."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MatchTrace, PayoffMatrix, gradients
-from .learners import bottom, top
+from .game import PayoffMatrix
+from .learners import top
 
 
 class RegretMeter:
@@ -74,44 +74,6 @@ class RegretMeter:
             "dreg_y": self.dreg_y,
             "nash_gap": gap,
         }
-
-
-def regret_report(trace: MatchTrace) -> dict:
-    """Final metric row of a recorded match, identical to live metering."""
-    meter = RegretMeter(trace.payoffs)
-    z = np.concatenate((trace.x, trace.y), axis=1)
-    u = np.concatenate((trace.gains, -trace.losses), axis=1)
-    for i in range(trace.horizon):
-        meter.update(i + 1, z[i], u[i])
-    return meter.snapshot()
-
-
-def nash_gap(payoffs: PayoffMatrix, x, y) -> float:
-    """How far the pair (x, y) is from equilibrium: the row player's best
-    improvement plus the column player's best improvement."""
-    g, loss = gradients(payoffs, x, y)
-    return top(g) - bottom(loss)
-
-
-def adversarial_top_prob(num_actions: int, rate: float, delta: float, t: int) -> float:
-    """Closed-form probability the learner puts on action 1 of the adversarial
-    instance at round t, valid whatever the opponent plays.
-
-    Round 1 is the uniform first iterate, exactly 1/num_actions; from round 2
-    on the weight ratio between action 1 and any other action is
-    exp(rate * delta * t).
-    """
-    if num_actions < 2:
-        raise ValueError(f"num_actions must be >= 2, got {num_actions}")
-    if rate < 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    if not (0.0 < delta <= 1.0):
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if t == 1:
-        return 1.0 / num_actions
-    return 1.0 / (1.0 + (num_actions - 1) * math.exp(-rate * delta * t))
 
 
 @dataclass(frozen=True)

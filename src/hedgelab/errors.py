@@ -29,18 +29,6 @@ class UtilityOutOfRangeError(ValueError):
     """A utility fed to a learner exceeds the [-1, 1] payoff range."""
 
 
-class OutOfDomainError(ValueError):
-    """A parameter point lies outside the domain of the requested transform."""
-
-
-class ZeroRateError(ValueError):
-    """A bound formula divides by a learning rate that is zero."""
-
-
-class InfeasibleError(ValueError):
-    """The rate pair violates the stability region required by the bounds."""
-
-
 class DegenerateGameError(ValueError):
     """A cardinality-aware formula needs both players to have >= 2 actions."""
 

@@ -52,16 +52,6 @@ class PayoffMatrix:
         return self.entries.shape[1]
 
 
-def make_payoff_matrix(m: int, n: int, entries) -> PayoffMatrix:
-    """Build an m-by-n payoff matrix from entries given in row-major order."""
-    if m < 1 or n < 1:
-        raise DimensionMismatchError("both players need at least one action")
-    a = np.asarray(entries, dtype=np.float64)
-    if a.size != m * n:
-        raise DimensionMismatchError(f"expected {m * n} entries, got {a.size}")
-    return PayoffMatrix(a.reshape(m, n))
-
-
 def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
     """Instance whose unique equilibrium puts both players on action 1.
 
@@ -83,35 +73,6 @@ def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
 
 def matching_pennies() -> PayoffMatrix:
     return PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-
-
-def gradients(payoffs: PayoffMatrix, x: np.ndarray, y: np.ndarray):
-    """Per-round feedback (gain vector for the row player, loss vector for the column player)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (payoffs.m,) or y.shape != (payoffs.n,):
-        raise DimensionMismatchError(
-            f"strategies of shapes {x.shape}/{y.shape} do not match a {payoffs.m}x{payoffs.n} game"
-        )
-    return payoffs.entries @ y, payoffs.entries.T @ x
-
-
-@dataclass(frozen=True)
-class MatchTrace:
-    """Full per-round record of a match: strategies and both feedback vectors.
-
-    Row i holds round t = i + 1.
-    """
-
-    payoffs: PayoffMatrix
-    x: np.ndarray
-    y: np.ndarray
-    gains: np.ndarray
-    losses: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.x.shape[0]
 
 
 def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer) -> None:
@@ -140,20 +101,6 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
         np.negative(u_y, u_y)
         observer(t, z, u)
         players.observe(u)
-
-
-def record_match(payoffs: PayoffMatrix, players, horizon: int) -> MatchTrace:
-    """play_match with a recording observer: the full per-round trace."""
-    m, rows = payoffs.m, max(horizon, 0)
-    xs, gs = np.empty((rows, m)), np.empty((rows, m))
-    ys, ls = np.empty((rows, payoffs.n)), np.empty((rows, payoffs.n))
-
-    def record(t, z, u):
-        xs[t - 1], ys[t - 1], gs[t - 1] = z[:m], z[m:], u[:m]
-        np.negative(u[m:], out=ls[t - 1])
-
-    play_match(payoffs, players, horizon, record)
-    return MatchTrace(payoffs, xs, ys, gs, ls)
 
 
 def load_matrix_file(path) -> PayoffMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -76,6 +77,21 @@ class ExperimentConfig:
     cadence: int = 1
 
     def __post_init__(self):
+        # Each field has its default's type; an int is a real number, a bool
+        # is not an integer, and matrix_path may stay None.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is int:
+                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            elif kind is float:
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            elif kind is tuple:
+                ok = isinstance(value, tuple) and all(isinstance(p, str) for p in value)
+            else:
+                ok = isinstance(value, str) or (value is None and f.default is None)
+            if not ok:
+                noun = _NOUNS.get(kind, "a string")
+                raise ConfigError(f"{_KEY_OF.get(f.name, f.name)} must be {noun}, got {value!r}")
         for key, value, choices in (
             ("instance", self.instance, INSTANCES),
             ("algo", self.algorithm, ALGORITHMS),
@@ -109,7 +125,7 @@ class ExperimentConfig:
 _KEY_OF = {"horizon": "T", "matrix_path": "matrix_file", "algorithm": "algo", "out_dir": "out"}
 _FIELD_OF = {_KEY_OF.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 CONFIG_KEYS = tuple(_FIELD_OF)
-_NOUNS = {int: "an integer", float: "a real number"}
+_NOUNS = {int: "an integer", float: "a real number", tuple: "a tuple of preset names"}
 
 
 def load_config_file(path) -> dict:

@@ -164,8 +164,9 @@ class AveragedHedge:
     t * (averaged utility) - (the inner learner's running utility sum). The
     iterate mean uses compensated summation. observe() range-checks the
     averaged utilities it is given; the reconstruction, whose float error
-    grows like t * eps, goes to the inner learner unchecked. It takes dims
-    and rates as OptimisticHedge does, so one learner holds every player.
+    grows like t * eps, goes to the inner learner unchecked and is then
+    inner.last. It takes dims and rates as OptimisticHedge does, so one
+    learner holds every player.
     """
 
     def __init__(self, dims, rates):
@@ -177,13 +178,10 @@ class AveragedHedge:
         self._iter_comp = np.zeros(self.dim)
         self._kahan_work = np.empty(self.dim), np.empty(self.dim)
         self._pending: np.ndarray | None = None
-        self.last_inner: np.ndarray | None = None
-        self.last_reconstructed: np.ndarray | None = None
 
     def next_strategy(self) -> np.ndarray:
         if self._pending is None:
             inner = self.inner.next_strategy()
-            self.last_inner = inner
             _kahan_add(self._iter_sum, self._iter_comp, inner, *self._kahan_work)
             self._pending = self._iter_sum / self.round
         return self._pending
@@ -192,8 +190,6 @@ class AveragedHedge:
         if self._pending is None:
             raise RuntimeError("observe() called before next_strategy()")
         u = _checked_utilities(utilities, self.dim)
-        recon = self.round * u - self.inner.cum
-        self.last_reconstructed = recon
-        self.inner._update(recon)
+        self.inner._update(self.round * u - self.inner.cum)
         self.round += 1
         self._pending = None

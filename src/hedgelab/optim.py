@@ -229,26 +229,3 @@ def minimize_unaware_coefficients():
     worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in UNAWARE_TABLES)
     point = TransformedParams(*(math.exp(v) for v in coords))
     return point, worst
-
-
-def gradient_check(coords, b: BoundInputs, step: float = 1e-5) -> float:
-    """Worst relative error between analytic and central-difference gradients."""
-    z = np.asarray(coords, dtype=np.float64)
-    if z.shape != (4,):
-        raise ValueError(f"expected 4 log coordinates, got shape {z.shape}")
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    worst = 0.0
-    for coefs, expos in bound_tables(b):
-        _, grad = _eval_posy(coefs, expos, z)
-        for i in range(4):
-            zp = z.copy()
-            zp[i] += step
-            zm = z.copy()
-            zm[i] -= step
-            fd = (_eval_posy(coefs, expos, zp)[0] - _eval_posy(coefs, expos, zm)[0]) / (
-                2.0 * step
-            )
-            denom = max(1.0, abs(grad[i]), abs(fd))
-            worst = max(worst, abs(fd - grad[i]) / denom)
-    return worst

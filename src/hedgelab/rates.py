@@ -1,10 +1,13 @@
-"""Learning-rate plans: feasibility, regret-bound formulas, and the preset table.
+"""Learning-rate plans: regret-bound tables and the preset table.
 
 A rate plan holds each player's learning rate together with a curvature split
 parameter (the fraction of the stability budget spent on the player's own
 smoothness term). Bounds come in two coordinate systems: the native one
 (eta_x, eta_y, c_x, c_y) and a transformed one (a_x, a_y, s_x, s_y) in which
-every bound is a posynomial and hence convex in log coordinates.
+every bound is a posynomial and hence convex in log coordinates. The package
+keeps the bounds only as posynomial tables in the transformed coordinates;
+the tests check the tables against the native-coordinate formulas in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,20 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateGameError,
-    InfeasibleError,
-    OutOfDomainError,
-    ZeroRateError,
-)
-
-# Relative tolerance deciding whether a point sits on the stability boundary,
-# where the individual bounds blow up.
-BOUNDARY_RTOL = 1e-12
-
-
-def _tied(u: float, v: float) -> bool:
-    return abs(u - v) <= BOUNDARY_RTOL * max(abs(u), abs(v))
+from .errors import DegenerateGameError
 
 
 @dataclass(frozen=True)
@@ -76,17 +66,6 @@ class TransformedParams:
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
-    def log_coords(self):
-        """(log a_x, log a_y, log s_x, log s_y); defined only when both slacks are positive."""
-        if self.s_x <= 0 or self.s_y <= 0:
-            raise OutOfDomainError("log coordinates need s_x > 0 and s_y > 0")
-        return (
-            math.log(self.a_x),
-            math.log(self.a_y),
-            math.log(self.s_x),
-            math.log(self.s_y),
-        )
-
 
 @dataclass(frozen=True)
 class BoundInputs:
@@ -115,57 +94,10 @@ class BoundInputs:
         return math.sqrt(self.log_m_plus * self.log_n_plus) + math.sqrt(self.log_m * self.log_n)
 
 
-def to_transformed(rp: RateParams) -> TransformedParams:
-    """Map a rate plan to transformed coordinates; needs positive rates and splits < 1."""
-    if rp.eta_x <= 0 or rp.eta_y <= 0:
-        raise OutOfDomainError("transformed coordinates need positive rates")
-    if rp.c_x >= 1 or rp.c_y >= 1:
-        raise OutOfDomainError("transformed coordinates need c_x, c_y in (0, 1)")
-    a_x = rp.eta_x / rp.c_x
-    a_y = rp.eta_y / rp.c_y
-    s_x = (1.0 / rp.c_x - 1.0) / a_x - a_y
-    s_y = (1.0 / rp.c_y - 1.0) / a_y - a_x
-    # A boundary point can land a hair below zero through rounding.
-    if -BOUNDARY_RTOL * max(1.0, a_y) <= s_x < 0:
-        s_x = 0.0
-    if -BOUNDARY_RTOL * max(1.0, a_x) <= s_y < 0:
-        s_y = 0.0
-    if s_x < 0 or s_y < 0:
-        raise OutOfDomainError("rate plan is outside the stability region")
-    return TransformedParams(a_x, a_y, s_x, s_y)
-
-
 def from_transformed(tp: TransformedParams) -> RateParams:
     c_x = 1.0 / (1.0 + tp.a_x * (tp.a_y + tp.s_x))
     c_y = 1.0 / (1.0 + tp.a_y * (tp.a_x + tp.s_y))
     return RateParams(c_x * tp.a_x, c_y * tp.a_y, c_x, c_y)
-
-
-def is_feasible(rp: RateParams) -> bool:
-    """Whether the rate product stays inside the stability region.
-
-    The comparison is exact except on the boundary itself, where membership
-    is granted within relative tolerance BOUNDARY_RTOL (the tight
-    cardinality-aware social point sits exactly there).
-    """
-    prod = rp.eta_x * rp.eta_y
-    for cap in (rp.c_x * (1.0 - rp.c_y), rp.c_y * (1.0 - rp.c_x)):
-        if prod > cap and not _tied(prod, cap):
-            return False
-    return True
-
-
-def social_bound_terms(rp: RateParams, b: BoundInputs):
-    """Per-player social-bound terms and their sum.
-
-    The x term is log(m)/eta_x + eta_x/(2 c_x); the y term is symmetric; the
-    sum bounds the social regret of any feasible plan.
-    """
-    if rp.eta_x == 0 or rp.eta_y == 0:
-        raise ZeroRateError("social bound terms need positive rates")
-    term_x = b.log_m / rp.eta_x + rp.eta_x / (2.0 * rp.c_x)
-    term_y = b.log_n / rp.eta_y + rp.eta_y / (2.0 * rp.c_y)
-    return term_x, term_y, term_x + term_y
 
 
 def social_table(b: BoundInputs):
@@ -174,33 +106,6 @@ def social_table(b: BoundInputs):
     coefs = np.array([b.log_m, b.log_n_plus, b.log_n, b.log_m_plus])
     expos = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
     return coefs, expos
-
-
-def individual_bounds(rp: RateParams, b: BoundInputs):
-    """Per-player regret bounds (x_bound, y_bound) for a feasible plan.
-
-    On the stability boundary the matching bound is math.inf (a deliberate
-    tagged value, not an overflow); strictly inside, both are finite.
-    """
-    if not is_feasible(rp):
-        raise InfeasibleError("rate plan violates the stability region")
-    if rp.eta_x == 0 or rp.eta_y == 0:
-        raise ZeroRateError("individual bounds need positive rates")
-    term_x, term_y, total = social_bound_terms(rp, b)
-    prod = rp.eta_x * rp.eta_y
-    half_x = rp.eta_x / (2.0 * rp.c_x)
-    half_y = rp.eta_y / (2.0 * rp.c_y)
-    if _tied(prod, rp.c_x * (1.0 - rp.c_y)):
-        bound_x = math.inf
-    else:
-        margin = (1.0 - rp.c_y) / (2.0 * rp.eta_y) - half_x
-        bound_x = term_x + (half_x / margin) * total
-    if _tied(prod, rp.c_y * (1.0 - rp.c_x)):
-        bound_y = math.inf
-    else:
-        margin = (1.0 - rp.c_x) / (2.0 * rp.eta_x) - half_y
-        bound_y = term_y + (half_y / margin) * total
-    return bound_x, bound_y
 
 
 # The x-player bound as a posynomial in the transformed coordinates
@@ -249,19 +154,6 @@ def bound_tables(b: BoundInputs):
 # inside the y bound.
 _ON_LOG_M, _ON_LOG_N = (BOUND_EXPOS[BOUND_COEFS[:, k] != 0.0] for k in (0, 1))
 UNAWARE_TABLES = (_ON_LOG_M, _ON_LOG_N, _ON_LOG_N[:, _MIRROR], _ON_LOG_M[:, _MIRROR])
-
-
-def individual_bounds_from_transformed(tp: TransformedParams, b: BoundInputs):
-    """The same per-player bounds: the bound tables evaluated at the point.
-
-    Only the opposite player's slack has a negative exponent in a bound, so
-    the bound is math.inf exactly when that slack is 0.
-    """
-    p = np.array([tp.a_x, tp.a_y, tp.s_x, tp.s_y])
-    (cx, ex), (cy, ey) = bound_tables(b)
-    bound_x = math.inf if tp.s_y == 0.0 else float(cx @ np.prod(p**ex, axis=1))
-    bound_y = math.inf if tp.s_x == 0.0 else float(cy @ np.prod(p**ey, axis=1))
-    return bound_x, bound_y
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,16 @@ from hedgelab import (
     OptimisticHedge,
     RegretMeter,
     adversarial_matrix,
-    adversarial_top_prob,
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
-    make_payoff_matrix,
     matching_pennies,
-    nash_gap,
     play_match,
-    record_match,
-    regret_report,
 )
 from hedgelab.errors import DimensionMismatchError
 from hedgelab.harness import run_metered
 from hedgelab.rates import RateParams
+
+from oracles import adversarial_top_prob, matrix, nash_gap, record_match
 
 
 def hedge_match(m, n, eta_x, eta_y, delta, horizon):
@@ -30,27 +27,27 @@ def hedge_match(m, n, eta_x, eta_y, delta, horizon):
 
 def test_zero_horizon_report_is_all_zero():
     _, trace = hedge_match(2, 2, 0.5, 0.5, 1.0, 0)
-    report = regret_report(trace)
+    report = trace.row
     assert report["reg_x"] == report["reg_y"] == report["social"] == 0.0
     assert report["dreg_x"] == report["dreg_y"] == report["max_ind"] == 0.0
 
 
 def test_zero_matrix_play_has_no_regret():
-    a = make_payoff_matrix(3, 3, np.zeros(9))
+    a = matrix(3, 3, np.zeros(9))
     trace = record_match(a, OptimisticHedge((3, 3), (0.5, 0.5)), 40)
-    report = regret_report(trace)
+    report = trace.row
     assert report["reg_x"] == 0.0 and report["reg_y"] == 0.0
     assert report["dreg_x"] == 0.0 and report["dreg_y"] == 0.0
 
 
 def test_meter_matches_trace_report():
     rng = np.random.default_rng(14)
-    a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
-    # the same match twice: live-metered, then recorded
+    a = matrix(5, 4, rng.uniform(-1, 1, 20))
+    # the same match twice: live-metered, then recorded and metered as it plays
     meter = RegretMeter(a)
     play_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 120, observer=meter.update)
     trace = record_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 120)
-    report = regret_report(trace)
+    report = trace.row
     row = meter.snapshot()
     assert row["reg_x"] == report["reg_x"]
     assert row["reg_y"] == report["reg_y"]
@@ -62,7 +59,7 @@ def test_meter_matches_trace_report():
 
 def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
     rng = np.random.default_rng(16)
-    a = make_payoff_matrix(6, 9, rng.uniform(-1, 1, 54))
+    a = matrix(6, 9, rng.uniform(-1, 1, 54))
     trace = record_match(a, AveragedHedge((6, 9), (0.4, 0.3)), 300)
     meter = RegretMeter(a)
     assert meter.worst_scaled_pair_gap == -math.inf
@@ -78,7 +75,7 @@ def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
 
 def test_averaged_pair_gap_is_nash_gap_of_averages():
     rng = np.random.default_rng(15)
-    a = make_payoff_matrix(4, 6, rng.uniform(-1, 1, 24))
+    a = matrix(4, 6, rng.uniform(-1, 1, 24))
     meter = RegretMeter(a)
     play_match(a, OptimisticHedge((4, 6), (0.5, 0.5)), 90, observer=meter.update)
     trace = record_match(a, OptimisticHedge((4, 6), (0.5, 0.5)), 90)
@@ -87,7 +84,7 @@ def test_averaged_pair_gap_is_nash_gap_of_averages():
     averaged_pair_gap = meter.snapshot("averaged_pair")["nash_gap"]
     assert averaged_pair_gap == pytest.approx(nash_gap(a, x_bar, y_bar), abs=1e-12)
     # regret-to-equilibrium conversion
-    report = regret_report(trace)
+    report = trace.row
     assert averaged_pair_gap <= report["social"] / trace.horizon + 1e-9
 
 
@@ -105,7 +102,7 @@ def test_snapshot_rows():
 
 def test_snapshot_matches_reference_formulas():
     rng = np.random.default_rng(21)
-    a = make_payoff_matrix(5, 4, rng.uniform(-1, 1, 20))
+    a = matrix(5, 4, rng.uniform(-1, 1, 20))
     meter = RegretMeter(a)
     # per-player sums of the gains g = A y and the losses A^T x, kept here
     cum_gain, cum_loss = np.zeros(5), np.zeros(4)
@@ -158,7 +155,7 @@ def test_nash_gap_values():
     e1 = np.array([1.0, 0.0])
     assert nash_gap(mp, e1, e1) == pytest.approx(2.0, abs=1e-15)
     rng = np.random.default_rng(16)
-    a = make_payoff_matrix(3, 5, rng.uniform(-1, 1, 15))
+    a = matrix(3, 5, rng.uniform(-1, 1, 15))
     for _ in range(20):
         assert nash_gap(a, rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(5))) >= 0.0
     with pytest.raises(DimensionMismatchError):
@@ -189,7 +186,7 @@ def test_top_prob_matches_simulation():
 def test_regret_equals_top_prob_sum():
     m, delta, eta, horizon = 4, 0.8, 0.25, 500
     _, trace = hedge_match(m, m, eta, eta, delta, horizon)
-    report = regret_report(trace)
+    report = trace.row
     expected = sum(
         delta * (1.0 - adversarial_top_prob(m, eta, delta, t)) for t in range(1, horizon + 1)
     )
@@ -198,7 +195,7 @@ def test_regret_equals_top_prob_sum():
 
 def test_flagship_regret_spot_value():
     _, trace = hedge_match(2, 2, 0.5, 0.5, 1.0, 2000)
-    report = regret_report(trace)
+    report = trace.row
     assert report["reg_x"] == pytest.approx(1.2692, abs=1e-3)
 
 

@@ -3,13 +3,11 @@ import pytest
 
 from hedgelab import (
     OptimisticHedge,
+    PayoffMatrix,
     adversarial_matrix,
-    gradients,
     load_matrix_file,
-    make_payoff_matrix,
     matching_pennies,
     play_match,
-    record_match,
 )
 from hedgelab.errors import (
     DimensionMismatchError,
@@ -19,29 +17,19 @@ from hedgelab.errors import (
     TooFewActionsError,
 )
 
-
-def test_make_payoff_matrix_basic():
-    one = make_payoff_matrix(1, 1, [0.0])
-    assert one.m == 1 and one.n == 1
-    assert one.entries[0, 0] == 0.0
-
-    mp = make_payoff_matrix(2, 2, [1, -1, -1, 1])
-    assert np.array_equal(mp.entries, matching_pennies().entries)
-
-    # entries are consumed row-major
-    a = make_payoff_matrix(2, 3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    assert a.entries[1, 0] == pytest.approx(0.4)
+from oracles import matrix, record_match
 
 
-def test_make_payoff_matrix_errors():
-    with pytest.raises(DimensionMismatchError):
-        make_payoff_matrix(2, 2, [1, 2, 3])
+def test_payoff_matrix_errors():
+    for shape in ((3,), (0, 2), (2, 0), (1, 2, 2)):
+        with pytest.raises(DimensionMismatchError):
+            PayoffMatrix(np.zeros(shape))
     with pytest.raises(EntryOutOfRangeError):
-        make_payoff_matrix(2, 2, [0, 2, -1, 0])
+        PayoffMatrix([[0.0, 2.0], [-1.0, 0.0]])
     with pytest.raises(EntryOutOfRangeError):
-        make_payoff_matrix(1, 2, [0.0, np.nan])
-    with pytest.raises(DimensionMismatchError):
-        make_payoff_matrix(0, 2, [])
+        PayoffMatrix([[0.0, np.nan]])
+    with pytest.raises(EntryOutOfRangeError):
+        PayoffMatrix([[0.0, -np.inf]])
 
 
 def test_payoff_matrix_is_read_only():
@@ -69,35 +57,27 @@ def test_adversarial_matrix_errors():
         adversarial_matrix(2, 1, 0.5)
 
 
-def test_gradients_hand_values():
-    u2 = np.full(2, 0.5)
-    g, loss = gradients(adversarial_matrix(2, 2, 1.0), u2, u2)
+def first_feedback(payoffs):
+    """The gain and loss vectors of play_match's first round, in which both
+    players play uniform."""
+    seen = []
+    players = OptimisticHedge((payoffs.m, payoffs.n), (0.5, 0.5))
+    play_match(payoffs, players, 1, lambda t, z, u: seen.append(u.copy()))
+    (u,) = seen
+    return u[: payoffs.m], -u[payoffs.m :]
+
+
+def test_play_match_feedback_hand_values():
+    g, loss = first_feedback(adversarial_matrix(2, 2, 1.0))
     assert g == pytest.approx([0.5, -0.5])
     assert loss == pytest.approx([-0.5, 0.5])
 
-    zero = make_payoff_matrix(2, 3, np.zeros(6))
-    g, loss = gradients(zero, u2, np.full(3, 1 / 3))
+    g, loss = first_feedback(matrix(2, 3, np.zeros(6)))
     assert not g.any() and not loss.any()
 
-    g, loss = gradients(matching_pennies(), u2, u2)
+    g, loss = first_feedback(matching_pennies())
     assert g == pytest.approx([0.0, 0.0])
     assert loss == pytest.approx([0.0, 0.0])
-
-
-def test_gradients_payoff_identity():
-    rng = np.random.default_rng(7)
-    a = make_payoff_matrix(4, 6, rng.uniform(-1, 1, 24))
-    for _ in range(20):
-        x = rng.dirichlet(np.ones(4))
-        y = rng.dirichlet(np.ones(6))
-        g, loss = gradients(a, x, y)
-        assert x @ g == pytest.approx(y @ loss, abs=1e-12)
-
-
-def test_gradients_dimension_mismatch():
-    a = matching_pennies()
-    with pytest.raises(DimensionMismatchError):
-        gradients(a, np.ones(3) / 3, np.ones(2) / 2)
 
 
 def test_play_match_zero_rounds():
@@ -120,11 +100,11 @@ def test_play_match_second_round_closed_form():
 
 def test_play_match_trace_consistency():
     rng = np.random.default_rng(11)
-    a = make_payoff_matrix(5, 7, rng.uniform(-1, 1, 35))
+    a = matrix(5, 7, rng.uniform(-1, 1, 35))
     trace = record_match(a, OptimisticHedge((5, 7), (0.4, 0.2)), 50)
     assert trace.horizon == 50
     for i in range(50):
-        g, loss = gradients(a, trace.x[i], trace.y[i])
+        g, loss = a.entries @ trace.y[i], a.entries.T @ trace.x[i]
         assert np.abs(g - trace.gains[i]).max() <= 1e-12
         assert np.abs(loss - trace.losses[i]).max() <= 1e-12
         # zero-sum consistency
@@ -169,7 +149,7 @@ def test_play_match_observer_and_memory_mode():
 
 def test_uniform_opponent_gives_constant_gradient():
     rng = np.random.default_rng(3)
-    a = make_payoff_matrix(4, 5, rng.uniform(-1, 1, 20))
+    a = matrix(4, 5, rng.uniform(-1, 1, 20))
     trace = record_match(a, OptimisticHedge((4, 5), (0.0, 0.5)), 30)
     # the column player's observed loss vector never moves
     assert np.abs(trace.losses - trace.losses[0]).max() <= 1e-15

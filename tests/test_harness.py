@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedgelab import OptimisticHedge, adversarial_matrix, harness, record_match, regret_report
+from hedgelab import OptimisticHedge, adversarial_matrix, harness
 from hedgelab.analysis import RegretMeter
 from hedgelab.errors import ConfigError, InvalidGammaError
 from hedgelab.harness import (
@@ -28,6 +28,8 @@ from hedgelab.rates import (
     preset_rates,
     theoretical_upper,
 )
+
+from oracles import record_match
 
 
 def read_csv(path):
@@ -81,6 +83,19 @@ def test_build_config_rejects(values):
         {"instance": "matching_pennies", "n": 0},
         {"horizon": 0},
         {"presets": ("U-Social", "U-Social")},
+        {"m": 2.5},
+        {"n": True},
+        {"horizon": 3.0},
+        {"cadence": 2.5},
+        {"out_dir": 5},
+        {"delta": "0.5"},
+        {"delta": False},
+        {"instance": None},
+        {"algorithm": 1},
+        {"matrix_path": 3},
+        {"presets": "U-Social"},
+        {"presets": ["U-Social"]},
+        {"presets": ("U-Social", 1)},
     ],
 )
 def test_experiment_config_rejects(bad):
@@ -88,6 +103,29 @@ def test_experiment_config_rejects(bad):
     ExperimentConfig(**good)
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**good, **bad})
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"m": 2.5}, "m must be an integer, got 2.5"),
+        ({"horizon": True}, "T must be an integer, got True"),
+        ({"delta": "0.5"}, "delta must be a real number, got '0.5'"),
+        ({"out_dir": 5}, "out must be a string, got 5"),
+        ({"matrix_path": 5}, "matrix_file must be a string, got 5"),
+        ({"presets": "U-Social"}, "presets must be a tuple of preset names, got 'U-Social'"),
+    ],
+)
+def test_experiment_config_type_messages_name_the_config_key(bad, message):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(**bad)
+    assert str(err.value) == message
+
+
+def test_experiment_config_accepts_an_integer_delta_and_numpy_integers():
+    assert ExperimentConfig(delta=1).delta == 1
+    cfg = ExperimentConfig(m=np.int64(3), n=np.int32(4), horizon=np.int64(5))
+    assert (cfg.m, cfg.n, cfg.horizon) == (3, 4, 5)
 
 
 def test_load_config_file(tmp_path):
@@ -225,7 +263,7 @@ def test_run_metered_matches_recorded_trace():
     rp = RateParams(0.4, 0.2, 0.5, 0.5)
     row, _ = run_metered(a, "hedge", rp, 60)
     trace = record_match(a, OptimisticHedge((3, 5), (0.4, 0.2)), 60)
-    assert regret_report(trace) == row
+    assert trace.row == row
     assert row["t"] == 60
 
 

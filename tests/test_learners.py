@@ -8,9 +8,11 @@ from hedgelab.errors import (
     NonFiniteWeightError,
     UtilityOutOfRangeError,
 )
-from hedgelab.game import adversarial_matrix, make_payoff_matrix, play_match
+from hedgelab.game import adversarial_matrix, play_match
 from hedgelab.learners import EXP_FLOOR, _kahan_add, bottom, top
 from hedgelab.rates import preset_rates
+
+from oracles import keep_inner, matrix
 
 TINY = np.finfo(np.float64).tiny
 
@@ -209,7 +211,7 @@ def test_floor_leaves_match_regrets_bit_identical(instance):
         payoffs = adversarial_matrix(m, n, 1.0)
     else:
         rng = np.random.default_rng(11)
-        payoffs = make_payoff_matrix(m, n, rng.uniform(-1, 1, m * n))
+        payoffs = matrix(m, n, rng.uniform(-1, 1, m * n))
     reports = []
     for cls in (OptimisticHedge, PlainExpHedge):
         players = cls((m, n), (2.0, 2.0))
@@ -256,8 +258,9 @@ def test_uniform_player():
 
 def averaged_self_play(m, n, rate_x, rate_y, horizon, seed=9):
     rng = np.random.default_rng(seed)
-    a = make_payoff_matrix(m, n, rng.uniform(-1, 1, m * n)).entries
+    a = matrix(m, n, rng.uniform(-1, 1, m * n)).entries
     xl, yl = AveragedHedge(m, rate_x), AveragedHedge(n, rate_y)
+    x_inner, y_inner = keep_inner(xl), keep_inner(yl)
     for t in range(1, horizon + 1):
         x = xl.next_strategy()
         y = yl.next_strategy()
@@ -265,7 +268,7 @@ def averaged_self_play(m, n, rate_x, rate_y, horizon, seed=9):
         loss = a.T @ x
         xl.observe(g)
         yl.observe(-loss)
-        yield t, a, xl, yl, x, y
+        yield t, a, xl, yl, x, x_inner.last, y_inner.last
 
 
 def test_averaged_first_round_uniform():
@@ -277,17 +280,17 @@ def test_averaged_first_round_uniform():
 
 def test_averaged_output_is_running_mean():
     inners = []
-    for t, _, xl, _, x, _ in averaged_self_play(5, 7, 0.5, 0.5, 60):
-        inners.append(xl.last_inner.copy())
+    for t, _, _, _, x, x_inner, _ in averaged_self_play(5, 7, 0.5, 0.5, 60):
+        inners.append(x_inner.copy())
         mean = np.mean(inners, axis=0)
         assert np.abs(x - mean).max() <= 1e-12
         assert x.min() >= 1.0 / (t * 5) - 1e-15
 
 
 def test_averaged_reconstruction_identity():
-    for _, a, xl, yl, _, _ in averaged_self_play(5, 7, 0.5, 0.3, 300):
-        assert np.abs(xl.last_reconstructed - a @ yl.last_inner).max() <= 1e-10
-        assert np.abs(yl.last_reconstructed + a.T @ xl.last_inner).max() <= 1e-10
+    for _, a, xl, yl, _, x_inner, y_inner in averaged_self_play(5, 7, 0.5, 0.3, 300):
+        assert np.abs(xl.inner.last - a @ y_inner).max() <= 1e-10
+        assert np.abs(yl.inner.last + a.T @ x_inner).max() <= 1e-10
 
 
 def test_averaged_two_round_inversion():
@@ -295,12 +298,12 @@ def test_averaged_two_round_inversion():
     learner.next_strategy()
     g1 = np.array([0.2, -0.1])
     learner.observe(g1)
-    assert np.array_equal(learner.last_reconstructed, g1)
+    assert np.array_equal(learner.inner.last, g1)
 
     learner.next_strategy()
     g2 = np.array([0.3, 0.1])
     learner.observe((g1 + g2) / 2.0)
-    assert learner.last_reconstructed == pytest.approx(g2, abs=1e-15)
+    assert learner.inner.last == pytest.approx(g2, abs=1e-15)
 
 
 def test_averaged_observe_requires_next_strategy():
@@ -338,7 +341,6 @@ class KahanHatAveragedHedge(AveragedHedge):
     def observe(self, utilities):
         u = np.asarray(utilities, dtype=np.float64)
         recon = self.round * u - self.hat_sum
-        self.last_reconstructed = recon
         self.inner.observe(recon)
         _kahan_add(self.hat_sum, self.hat_comp, recon, np.empty(self.dim), np.empty(self.dim))
         self.round += 1
@@ -348,11 +350,12 @@ class KahanHatAveragedHedge(AveragedHedge):
 def averaged_trajectory(cls, a, rate_x, rate_y, horizon):
     m, n = a.shape
     xl, yl = cls(m, rate_x), cls(n, rate_y)
+    x_inner, y_inner = keep_inner(xl), keep_inner(yl)
     for _ in range(horizon):
         x, y = xl.next_strategy(), yl.next_strategy()
         xl.observe(a @ y)
         yl.observe(-(a.T @ x))
-        yield x, y, xl.last_inner, yl.last_inner, xl.last_reconstructed, yl.last_reconstructed
+        yield x, y, x_inner.last, y_inner.last, xl.inner.last, yl.inner.last
 
 
 @pytest.mark.parametrize("instance", ["adversarial", "random-3", "random-4"])
@@ -389,4 +392,4 @@ def test_averaged_late_start_has_no_false_range_error(seed):
         y = rng.dirichlet(np.ones(3))
         ybar = ((t - 1) * ybar + y) / t
         learner.observe(a @ ybar)
-        assert np.abs(learner.last_reconstructed - a @ y).max() <= 1e-7
+        assert np.abs(learner.inner.last - a @ y).max() <= 1e-7

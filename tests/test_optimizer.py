@@ -8,9 +8,6 @@ from hedgelab import (
     TransformedParams,
     eval_log_bounds,
     from_transformed,
-    gradient_check,
-    individual_bounds,
-    is_feasible,
     minimize,
     minimize_unaware_coefficients,
     preset_rates,
@@ -18,6 +15,8 @@ from hedgelab import (
 from hedgelab import optim
 from hedgelab.errors import DegenerateGameError, InvalidGammaError
 from hedgelab.harness import DEFAULT_GAMMA_GRID
+
+from oracles import gradient_check, individual_bounds, is_feasible
 
 SQ3 = math.sqrt(3.0)
 UNIT = BoundInputs(1.0, 1.0)
@@ -35,9 +34,7 @@ def test_eval_at_origin():
 
 def test_eval_agrees_with_rate_form():
     # log coordinates (0,0,0,0) correspond to a = a' = s = s' = 1
-    from hedgelab import individual_bounds_from_transformed
-
-    direct = individual_bounds_from_transformed(TransformedParams(1, 1, 1, 1), UNIT)
+    direct = individual_bounds(from_transformed(TransformedParams(1, 1, 1, 1)), UNIT)
     f, g, _, _ = eval_log_bounds(np.zeros(4), UNIT)
     assert f == pytest.approx(direct[0], rel=1e-10)
     assert g == pytest.approx(direct[1], rel=1e-10)
