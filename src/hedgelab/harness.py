@@ -23,7 +23,7 @@ from .analysis import (
 from .errors import ConfigError, InvalidGammaError
 from .game import PayoffMatrix, adversarial_matrix, load_matrix_file, matching_pennies, play_match
 from .learners import AveragedHedge, OptimisticHedge
-from .optim import BoundInputs, minimize
+from .optim import BoundInputs, minimize, warn_unconverged
 from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theoretical_upper
 
 METRIC_COLUMNS = ("t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap")
@@ -315,12 +315,8 @@ def _sweep_row(objective, gamma, res):
     """One solve's sweep row. The row is written even when the solve did not
     converge, so that is logged as a warning."""
     if not res.converged:
-        # Imported only here: no other path logs, and importing logging adds
-        # to every run's peak memory.
-        import logging
         at = f" at gamma={gamma!r}" if objective == "weighted" else ""
-        msg = "sweep-gamma: %s solve%s did not converge after %d iterations"
-        logging.getLogger("hedgelab").warning(msg, objective, at, res.iterations)
+        warn_unconverged(f"sweep-gamma: {objective} solve{at}", res.iterations)
     return {
         "objective": objective,
         "gamma": gamma,

@@ -68,8 +68,8 @@ class OptimisticHedge:
     vector: OptimisticHedge(d, rate) is one player, OptimisticHedge((m, n),
     (eta_x, eta_y)) the two players of a match. Strategies, utilities and
     the running sums are the players' vectors end to end, so each
-    elementwise step runs once for all of them; only the extremes, the
-    shift and the normalisation run per block. Every block gets the same
+    elementwise step runs once for all of them; only the shift by the
+    block's largest score and the normalisation run per block. Every block gets the same
     bits as a learner of its own.
 
     Weights below e^EXP_FLOOR = e^-690 of the leader's are played as exactly
@@ -91,22 +91,22 @@ class OptimisticHedge:
         self.dim = sum(self.dims)
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
-        # Only blocks with rate > 0 run the step; a rate-0 block plays its
-        # uniform strategy. The step's elementwise passes cover the span from
-        # the first to the last stepped block, so a rate-0 block at either end
-        # costs nothing. Each stepped block sums its weights into a 0-d
-        # array, which the division takes faster than a float.
+        # The step runs over the span from the first to the last block with
+        # rate > 0 (all blocks if none has): a rate-0 block inside it steps on
+        # +-0 scores, which give exactly 1/dim, and one outside it is written
+        # here once. Each stepped block sums its weights into a 0-d array,
+        # which the division takes faster than a float.
         self._scores = np.empty(self.dim)  # next_strategy's work buffer
         ends = np.cumsum(self.dims).tolist()
-        self._stepped, self._uniform = [], []
-        for dim, end, rate in zip(self.dims, ends, self.rates):
+        stepped = [i for i, rate in enumerate(self.rates) if rate > 0.0] or [0, len(self.dims) - 1]
+        self._span = slice(ends[stepped[0]] - self.dims[stepped[0]], ends[stepped[-1]])
+        self._blocks = []
+        for dim, end in zip(self.dims, ends):
             where = slice(end - dim, end)
-            if rate == 0.0:
-                self._uniform.append((where, uniform_strategy(dim)))
+            if self._span.start < end <= self._span.stop:
+                self._blocks.append((self._scores[where], np.empty(())))
             else:
-                self._stepped.append((where, self._scores[where], np.empty(())))
-        stepped = [where for where, *_ in self._stepped]
-        self._span = slice(stepped[0].start, stepped[-1].stop) if stepped else slice(0)
+                self._scores[where] = uniform_strategy(dim)
         self._cum_span = self.cum[self._span]
         self._scores_span = self._scores[self._span]
         self._rate_span = np.repeat(self.rates, self.dims)[self._span]
@@ -114,28 +114,25 @@ class OptimisticHedge:
     def next_strategy(self) -> np.ndarray:
         scores = np.add(self._cum_span, self.last[self._span], self._scores_span)
         scores *= self._rate_span
-        floor = False
-        for _, block, _ in self._stepped:
-            hi, lo = top(block), bottom(block)  # both NaN if any score is
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise NonFiniteWeightError("non-finite exponential-weights score")
-            block -= hi  # keep every exponent <= 0
-            floor = floor or lo - hi < EXP_FLOOR
+        for block, _ in self._blocks:
+            block -= top(block)  # keep every exponent <= 0
+        # Rounding is monotone, so this is the smallest lo - hi of the blocks;
+        # it is NaN or -inf if any score is NaN or +-inf.
+        lo = bottom(scores)
+        if not math.isfinite(lo):
+            raise NonFiniteWeightError("non-finite exponential-weights score")
         # Over a block with no score below the floor the mask is a no-op with
         # the same bits, so one pass serves every block.
-        if floor:
+        if lo < EXP_FLOOR:
             live = scores >= EXP_FLOOR
             np.maximum(scores, EXP_FLOOR, out=scores)
             np.exp(scores, out=scores)
             scores *= live
         else:
             np.exp(scores, out=scores)
-        z = np.empty(self.dim)
-        for where, block, total in self._stepped:
-            np.divide(block, np.add.reduce(block, out=total), z[where])
-        for where, uniform in self._uniform:
-            z[where] = uniform
-        return z
+        for block, total in self._blocks:
+            np.divide(block, np.add.reduce(block, out=total), block)
+        return self._scores.copy()
 
     def observe(self, utilities) -> None:
         self._update(_checked_utilities(utilities, self.dim))

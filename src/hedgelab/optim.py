@@ -42,6 +42,16 @@ BALANCE_TOL = 1e-12
 MAX_ITERS = 20000
 
 
+def warn_unconverged(solve: str, iterations: int) -> None:
+    """Log that a solve stopped unconverged; its last point is used anyway."""
+    # Imported only here: no other path logs, and importing logging adds to
+    # every run's peak memory.
+    import logging
+
+    msg = "%s did not converge after %d iterations"
+    logging.getLogger("hedgelab").warning(msg, solve, iterations)
+
+
 def _eval_posy(coefs: np.ndarray, expos: np.ndarray, z: np.ndarray):
     terms = coefs * np.exp(expos @ z)
     return float(terms.sum()), expos.T @ terms
@@ -224,7 +234,9 @@ def minimize_unaware_coefficients():
     x tables over (log a, log s).
     """
     x_tables = [(np.ones(e.shape[0]), e[:, [0, 2]] + e[:, [1, 3]]) for e in UNAWARE_TABLES[:2]]
-    z, _, _ = _minimize_max(*x_tables, np.zeros(2), MAX_ITERS)
+    z, iters, converged = _minimize_max(*x_tables, np.zeros(2), MAX_ITERS)
+    if not converged:
+        warn_unconverged("U-MaxInd-Num: size-free max solve", iters)
     coords = z[[0, 0, 1, 1]]
     worst = max(_eval_posy(np.ones(e.shape[0]), e, coords)[0] for e in UNAWARE_TABLES)
     point = TransformedParams(*(math.exp(v) for v in coords))

@@ -13,6 +13,7 @@ tests/oracles.py.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,6 +68,13 @@ class TransformedParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
+def _check_counts(m: int, n: int) -> None:
+    """Action counts are integers; numpy integers pass, bools do not."""
+    for key, value in (("m", m), ("n", n)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Log action counts feeding every bound formula."""
@@ -76,6 +84,7 @@ class BoundInputs:
 
     @classmethod
     def from_actions(cls, m: int, n: int) -> "BoundInputs":
+        _check_counts(m, n)
         if m < 1 or n < 1:
             raise ValueError(f"action counts must be >= 1, got ({m}, {n})")
         return cls(math.log(m), math.log(n))
@@ -189,9 +198,10 @@ SOCIAL_PRESETS = tuple(p for p in PRESETS if PRESET_TARGETS[p] == "social")
 _SQ3 = math.sqrt(3.0)
 
 
-def _check_preset(name: str) -> None:
+def _check_preset(name: str, m: int, n: int) -> None:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}")
+    _check_counts(m, n)
 
 
 def _aware_inputs(name: str, m: int, n: int) -> BoundInputs:
@@ -210,14 +220,17 @@ def _unaware_numeric_rates() -> RateParams:
 
 @lru_cache(maxsize=None)
 def _aware_numeric_result(m: int, n: int):
-    from .optim import minimize
+    from .optim import minimize, warn_unconverged
 
-    return minimize("max", BoundInputs.from_actions(m, n))
+    res = minimize("max", BoundInputs.from_actions(m, n))
+    if not res.converged:
+        warn_unconverged(f"A-MaxInd-Num: max solve at m={m}, n={n}", res.iterations)
+    return res
 
 
 def preset_rates(name: str, m: int, n: int) -> RateParams:
     """Rates of one of the eight named plans for an m-by-n game."""
-    _check_preset(name)
+    _check_preset(name, m, n)
     if name == "U-Social":
         return RateParams(0.5, 0.5, 0.5, 0.5)
     if name == "U-X-only":
@@ -246,7 +259,7 @@ def theoretical_upper(name: str, m: int, n: int, horizon: int | None = None) -> 
     Given a horizon (social presets only), the bound covers the worse
     player's dynamic regret instead, which grows with the horizon.
     """
-    _check_preset(name)
+    _check_preset(name, m, n)
     if horizon is not None:
         if name not in SOCIAL_PRESETS:
             raise ValueError(f"preset {name} carries no dynamic-regret bound")

@@ -23,6 +23,7 @@ from hedgelab.harness import (
 )
 from hedgelab.rates import (
     PRESET_TARGETS,
+    PRESETS,
     SOCIAL_PRESETS,
     RateParams,
     preset_rates,
@@ -385,6 +386,32 @@ def test_verify_bounds_hedge_takes_one_snapshot_per_match(tmp_path, monkeypatch,
     verify_bounds(cfg)
     # one upper-bound match and one floor match per preset, each snapshotted at t = T
     assert calls == [80] * 4
+
+
+@pytest.mark.parametrize("algorithm, presets", [("hedge", PRESETS), ("averaged", SOCIAL_PRESETS)])
+def test_every_planned_match_is_one_full_play_match_call(tmp_path, monkeypatch, algorithm, presets):
+    # benchmarks/tracing.py::_counted_play_match counts game.rounds by adding
+    # horizon once per harness.play_match call, and benchmarks/run.py checks
+    # that sum against presets x T; so every planned match, duplicates
+    # included (U-MaxInd-Num's rates equal U-MaxInd-Cl's, and a tuned
+    # instance with delta* = 1 equals the configured one), is one call that
+    # plays the full horizon.
+    horizons = []
+    play_match = harness.play_match
+
+    def counted(payoffs, players, horizon, observer):
+        horizons.append(horizon)
+        return play_match(payoffs, players, horizon, observer)
+
+    monkeypatch.setattr(harness, "play_match", counted)
+    cfg = ExperimentConfig(
+        m=2, n=5, horizon=30, presets=presets, algorithm=algorithm, out_dir=str(tmp_path)
+    )
+    run_experiment(cfg)
+    assert horizons == [cfg.horizon] * len(presets)
+    horizons.clear()
+    verify_bounds(cfg)
+    assert horizons == [cfg.horizon] * (2 * len(presets))
 
 
 def test_verify_report_is_recomputable(tmp_path):

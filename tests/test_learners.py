@@ -122,6 +122,33 @@ def test_non_finite_scores_raise(bad):
         learner.next_strategy()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "dims, rates, at",
+    [
+        ((2, 3), (0.5, 0.7), 3),  # in the second block
+        ((2, 3, 2), (0.5, 0.0, 0.7), 3),  # in a rate-0 block inside the stepped span
+    ],
+    ids=["second-block", "rate-0-inside-span"],
+)
+# inf - inf in the shift and inf * 0 in the rate-0 block warn before the raise
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_scores_raise_in_any_stepped_block(bad, dims, rates, at):
+    learner = OptimisticHedge(dims, rates)
+    learner.cum[at] = bad
+    with pytest.raises(NonFiniteWeightError):
+        learner.next_strategy()
+
+
+def test_rate_0_end_blocks_are_written_once():
+    # a rate-0 block outside the stepped span never reads its sums
+    learner = OptimisticHedge((3, 2, 4), (0.0, 0.5, 0.0))
+    learner.cum[[0, 8]] = np.nan
+    z = learner.next_strategy()
+    assert np.array_equal(z[:3], uniform_strategy(3))
+    assert np.array_equal(z[5:], uniform_strategy(4))
+
+
 def test_strategies_are_fresh_arrays():
     learner = OptimisticHedge(3, 0.5)
     learner.observe(np.array([0.5, -0.5, 0.0]))

@@ -12,7 +12,7 @@ from hedgelab import (
     minimize_unaware_coefficients,
     preset_rates,
 )
-from hedgelab import optim
+from hedgelab import optim, rates
 from hedgelab.errors import DegenerateGameError, InvalidGammaError
 from hedgelab.harness import DEFAULT_GAMMA_GRID
 
@@ -199,6 +199,35 @@ def test_iteration_budget_is_respected(monkeypatch):
     res = minimize("weighted", UNIT, gamma=0.3)
     assert res.iterations <= 3
     assert not res.converged
+
+
+def clear_preset_solves():
+    rates._aware_numeric_result.cache_clear()
+    rates._unaware_numeric_rates.cache_clear()
+
+
+@pytest.fixture
+def fresh_preset_solves():
+    """Clears the cached preset solves before and after, so no result solved
+    under a patched budget reaches another test."""
+    clear_preset_solves()
+    yield
+    clear_preset_solves()
+
+
+def test_unconverged_preset_solves_warn(monkeypatch, caplog, fresh_preset_solves):
+    caplog.set_level("WARNING", logger="hedgelab")
+    preset_rates("A-MaxInd-Num", 10, 10)
+    preset_rates("U-MaxInd-Num", 10, 10)
+    assert caplog.records == []
+    clear_preset_solves()
+    monkeypatch.setattr(optim, "MAX_ITERS", 3)
+    preset_rates("A-MaxInd-Num", 10, 10)
+    preset_rates("U-MaxInd-Num", 10, 10)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("hedgelab", "A-MaxInd-Num: max solve at m=10, n=10 did not converge after 3 iterations"),
+        ("hedgelab", "U-MaxInd-Num: size-free max solve did not converge after 3 iterations"),
+    ]
 
 
 def test_monotone_tradeoff():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -300,3 +301,32 @@ def test_bound_inputs():
     )
     with pytest.raises(ValueError):
         BoundInputs.from_actions(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, n: preset_rates("U-Social", m, n),
+        lambda m, n: preset_rates("A-Social", m, n),
+        lambda m, n: theoretical_upper("U-Social", m, n),
+        lambda m, n: theoretical_upper("A-Social", m, n),
+        BoundInputs.from_actions,
+    ],
+    ids=["preset_rates-U", "preset_rates-A", "upper-U", "upper-A", "from_actions"],
+)
+@pytest.mark.parametrize(
+    "m, n, bad",
+    [(2.5, 3, "m"), (True, 2.5, "m"), (3, 3.0, "n"), (3, np.float64(3.0), "n"), (3, np.True_, "n")],
+)
+def test_action_counts_must_be_integers(call, m, n, bad):
+    message = f"{bad} must be an integer, got {(m if bad == 'm' else n)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(m, n)
+
+
+def test_numpy_integer_action_counts_are_the_int_counts():
+    for name in PRESETS:
+        m, n = np.int64(10), np.int32(3)
+        assert preset_rates(name, m, n) == preset_rates(name, 10, 3)
+        assert theoretical_upper(name, m, n) == theoretical_upper(name, 10, 3)
+    assert BoundInputs.from_actions(np.int64(10), np.uint8(3)) == BoundInputs.from_actions(10, 3)

@@ -26,6 +26,9 @@ from hedgelab import (
 ALGORITHMS = {"hedge": OptimisticHedge, "averaged": AveragedHedge}
 # Rates well above the presets' push weights below the floor within 300 rounds.
 STEEP = (4.0, 3.0)
+# Only the x block's weights fall below the floor, so the floor branch runs
+# on rounds where the y block has no score below it.
+ONE_FLOORED = (4.0, 0.05)
 
 
 def reference_match(payoffs, cls, rates, horizon):
@@ -112,8 +115,8 @@ def test_stacked_engine_equals_reference_loop(payoffs, algorithm):
     m, n = payoffs.m, payoffs.n
     rate_pairs = {(rp.eta_x, rp.eta_y) for rp in (preset_rates(p, m, n) for p in PRESETS)}
     assert any(eta_y == 0.0 for _, eta_y in rate_pairs)  # the *-X-only presets
-    floored = False
-    for rates in sorted(rate_pairs) + [STEEP]:
+    floored = one_floored = False
+    for rates in sorted(rate_pairs) + [STEEP, ONE_FLOORED]:
         for horizon in (1, 300):
             want, averaged, last_pair, cum_gain, cum_loss = reference_match(
                 payoffs, cls, rates, horizon
@@ -130,8 +133,12 @@ def test_stacked_engine_equals_reference_loop(payoffs, algorithm):
             if algorithm == "hedge":  # the plain learner sums the same u from zero
                 assert meter.cum.tobytes() == players.cum.tobytes()
             floored |= any((x == 0.0).any() or (y == 0.0).any() for x, y, _, _ in got)
+            if rates == ONE_FLOORED:
+                one_floored |= any((x == 0.0).any() and (y > 0.0).all() for x, y, _, _ in got)
     if algorithm == "hedge" and payoffs.n == 10000 and payoffs.entries[0, 1] == 1.0:
         assert floored  # the adversarial 2x10000 game takes the floor branch
+    if algorithm == "hedge" and payoffs.entries[0, 1] == 1.0:
+        assert one_floored  # every adversarial game floors the x block alone
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 9, 16, 17, 100, 129, 1000, 10000])
