@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffMatrix
-from .learners import top
+from .learners import require_integers, top
 
 
 class RegretMeter:
@@ -87,6 +87,7 @@ class LowerBoundValue:
 
 
 def _check_lb_args(num_actions: int, rate: float, horizon: int) -> None:
+    require_integers(num_actions=num_actions, horizon=horizon)
     if num_actions < 2:
         raise ValueError(f"num_actions must be >= 2, got {num_actions}")
     if rate <= 0 or not math.isfinite(rate):

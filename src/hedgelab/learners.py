@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,6 +38,13 @@ def top(v: np.ndarray) -> float:
 
 def bottom(v: np.ndarray) -> float:
     return v.item(v.argmin())
+
+
+def require_integers(**values) -> None:
+    """Action counts and horizons are integers; numpy integers pass, bools do not."""
+    for key, value in values.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _checked_utilities(utilities, dim: int) -> np.ndarray:
@@ -78,7 +86,10 @@ class OptimisticHedge:
     """
 
     def __init__(self, dims, rates):
-        self.dims = tuple(int(d) for d in np.atleast_1d(dims))
+        dims = tuple(dims) if np.ndim(dims) else (dims,)
+        for dim in dims:
+            require_integers(dim=dim)
+        self.dims = tuple(int(d) for d in dims)
         self.rates = tuple(float(r) for r in np.atleast_1d(rates))
         if len(self.dims) != len(self.rates) or not self.dims:
             raise ValueError(f"need one rate per block, got {rates!r} for {dims!r}")

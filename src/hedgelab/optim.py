@@ -163,61 +163,41 @@ def minimize(objective: str, b: BoundInputs, gamma: float | None = None) -> Opti
     """Minimize one of the bound objectives over the transformed points.
 
     objective is "social" (sum of the social terms), "weighted" (gamma times
-    the x bound plus (1 - gamma) times the y bound; needs gamma in [0, 1]),
-    or "max" (the worse of the two bounds). The social optimum sits at zero
-    slack, where both individual bounds are infinite by design.
+    the x bound plus (1 - gamma) times the y bound; needs a real gamma in
+    [0, 1]), or "max" (the worse of the two bounds); only "weighted" takes a
+    gamma. The social optimum sits at zero slack, where both individual
+    bounds are infinite by design.
     """
     if b.log_m <= 0 or b.log_n <= 0:
         raise DegenerateGameError("bound objectives need m >= 2 and n >= 2")
+    if objective not in ("social", "weighted", "max"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective != "weighted":
+        if gamma is not None:
+            raise InvalidGammaError(f"objective {objective!r} takes no gamma, got {gamma}")
+    elif isinstance(gamma, (bool, np.bool_)) or gamma is None or not 0.0 <= gamma <= 1.0:
+        raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
     z0 = _default_start(b)
-
     if objective == "social":
         coefs, expos = social_table(b)
         z, iters, converged = _newton(coefs, expos, z0[:2], MAX_ITERS)
         point = TransformedParams(math.exp(z[0]), math.exp(z[1]), 0.0, 0.0)
         value = _eval_posy(coefs, expos, z)[0]
-        return OptimizeResult(
-            point=point,
-            rates=from_transformed(point),
-            x_bound=math.inf,
-            y_bound=math.inf,
-            objective_value=value,
-            iterations=iters,
-            converged=converged,
-        )
-
+        return _result(point, math.inf, math.inf, value, iters, converged)
+    x_table, y_table = bound_tables(b)
     if objective == "weighted":
-        if gamma is None or not (0.0 <= gamma <= 1.0):
-            raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
-        z, iters, converged = _solve_weighted(*bound_tables(b), gamma, z0, MAX_ITERS)
-        return _result_at(z, b, iters, converged, weight=gamma)
-
-    if objective == "max":
-        z, iters, converged = _minimize_max(*bound_tables(b), z0, MAX_ITERS)
-        return _result_at(z, b, iters, converged)
-
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def _result_at(
-    z: np.ndarray,
-    b: BoundInputs,
-    iters: int,
-    converged: bool,
-    weight: float | None = None,
-) -> OptimizeResult:
-    bx, by, _, _ = eval_log_bounds(z, b)
-    value = max(bx, by) if weight is None else weight * bx + (1.0 - weight) * by
+        z, iters, converged = _solve_weighted(x_table, y_table, gamma, z0, MAX_ITERS)
+    else:
+        z, iters, converged = _minimize_max(x_table, y_table, z0, MAX_ITERS)
+    bx, by = _eval_posy(*x_table, z)[0], _eval_posy(*y_table, z)[0]
+    value = max(bx, by) if objective == "max" else gamma * bx + (1.0 - gamma) * by
     point = TransformedParams(*(math.exp(v) for v in z))
-    return OptimizeResult(
-        point=point,
-        rates=from_transformed(point),
-        x_bound=bx,
-        y_bound=by,
-        objective_value=value,
-        iterations=iters,
-        converged=converged,
-    )
+    return _result(point, bx, by, value, iters, converged)
+
+
+def _result(point, x_bound, y_bound, value, iters, converged) -> OptimizeResult:
+    rates = from_transformed(point)
+    return OptimizeResult(point, rates, x_bound, y_bound, value, iters, converged)
 
 
 def minimize_unaware_coefficients():

@@ -13,13 +13,13 @@ tests/oracles.py.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateGameError
+from .learners import require_integers
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ class TransformedParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-def _check_counts(m: int, n: int) -> None:
-    """Action counts are integers; numpy integers pass, bools do not."""
-    for key, value in (("m", m), ("n", n)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Log action counts feeding every bound formula."""
@@ -84,7 +77,7 @@ class BoundInputs:
 
     @classmethod
     def from_actions(cls, m: int, n: int) -> "BoundInputs":
-        _check_counts(m, n)
+        require_integers(m=m, n=n)
         if m < 1 or n < 1:
             raise ValueError(f"action counts must be >= 1, got ({m}, {n})")
         return cls(math.log(m), math.log(n))
@@ -169,17 +162,6 @@ UNAWARE_TABLES = (_ON_LOG_M, _ON_LOG_N, _ON_LOG_N[:, _MIRROR], _ON_LOG_M[:, _MIR
 # Preset table
 # ---------------------------------------------------------------------------
 
-PRESETS = (
-    "U-Social",
-    "U-X-only",
-    "U-MaxInd-Cl",
-    "U-MaxInd-Num",
-    "A-Social",
-    "A-X-only",
-    "A-MaxInd-Cl",
-    "A-MaxInd-Num",
-)
-
 # Which measured regret each preset's bound speaks about.
 PRESET_TARGETS = {
     "U-Social": "social",
@@ -191,23 +173,12 @@ PRESET_TARGETS = {
     "A-MaxInd-Cl": "max_ind",
     "A-MaxInd-Num": "max_ind",
 }
+PRESETS = tuple(PRESET_TARGETS)
 
 # Presets whose bound is on social regret; only these carry a dynamic-regret bound.
 SOCIAL_PRESETS = tuple(p for p in PRESETS if PRESET_TARGETS[p] == "social")
 
 _SQ3 = math.sqrt(3.0)
-
-
-def _check_preset(name: str, m: int, n: int) -> None:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}")
-    _check_counts(m, n)
-
-
-def _aware_inputs(name: str, m: int, n: int) -> BoundInputs:
-    if m < 2 or n < 2:
-        raise DegenerateGameError(f"preset {name} needs m >= 2 and n >= 2, got ({m}, {n})")
-    return BoundInputs.from_actions(m, n)
 
 
 @lru_cache(maxsize=None)
@@ -228,58 +199,54 @@ def _aware_numeric_result(m: int, n: int):
     return res
 
 
-def preset_rates(name: str, m: int, n: int) -> RateParams:
-    """Rates of one of the eight named plans for an m-by-n game."""
-    _check_preset(name, m, n)
+def _preset(name: str, m: int, n: int):
+    """(rates, bound) of the named plan for an m-by-n game."""
+    if name not in PRESET_TARGETS:
+        raise ValueError(f"unknown preset {name!r}; choose one of {', '.join(PRESETS)}")
+    b = BoundInputs.from_actions(m, n)
     if name == "U-Social":
-        return RateParams(0.5, 0.5, 0.5, 0.5)
+        return RateParams(0.5, 0.5, 0.5, 0.5), 2.0 * (b.log_m + b.log_n) + 1.0
     if name == "U-X-only":
-        return RateParams(1.0, 0.0, 1.0, 1.0)
+        return RateParams(1.0, 0.0, 1.0, 1.0), b.log_m + 0.5
     if name == "U-MaxInd-Cl":
         r = 1.0 / (2.0 * _SQ3)
-        return RateParams(r, r, 0.5, 0.5)
+        return RateParams(r, r, 0.5, 0.5), 3.0 * _SQ3 * (b.log_m + b.log_n) + 1.0 / _SQ3
     if name == "U-MaxInd-Num":
-        return _unaware_numeric_rates()
-    b = _aware_inputs(name, m, n)
-    if name == "A-X-only":
-        return RateParams(math.sqrt(b.log_m / b.log_n_plus), 0.0, 1.0, 1.0)
+        return _unaware_numeric_rates(), 3.0 * _SQ3 * (b.log_m + b.log_n) + 1.0 / _SQ3
+    if m < 2 or n < 2:
+        raise DegenerateGameError(f"preset {name} needs m >= 2 and n >= 2, got ({m}, {n})")
     if name == "A-MaxInd-Num":
-        return _aware_numeric_result(m, n).rates
+        res = _aware_numeric_result(m, n)
+        return res.rates, res.objective_value
+    root_xy = math.sqrt(b.log_m * b.log_n_plus)
+    if name == "A-X-only":
+        return RateParams(math.sqrt(b.log_m / b.log_n_plus), 0.0, 1.0, 1.0), 1.5 * root_xy
+    roots = root_xy + math.sqrt(b.log_m_plus * b.log_n)
     split = math.sqrt(b.log_m_plus * b.log_n_plus) / b.scale
     eta_x = math.sqrt(b.log_m * b.log_m_plus) / b.scale
     eta_y = math.sqrt(b.log_n * b.log_n_plus) / b.scale
     if name == "A-MaxInd-Cl":
-        return RateParams(eta_x / 2.0, eta_y / 2.0, split, split)
-    return RateParams(eta_x, eta_y, split, split)  # A-Social
+        return RateParams(eta_x / 2.0, eta_y / 2.0, split, split), (20.0 / 3.0) * roots
+    return RateParams(eta_x, eta_y, split, split), 2.0 * roots  # A-Social
+
+
+def preset_rates(name: str, m: int, n: int) -> RateParams:
+    """Rates of one of the eight named plans for an m-by-n game."""
+    return _preset(name, m, n)[0]
 
 
 def theoretical_upper(name: str, m: int, n: int, horizon: int | None = None) -> float:
     """Regret bound the named preset promises for its target metric.
 
-    Given a horizon (social presets only), the bound covers the worse
-    player's dynamic regret instead, which grows with the horizon.
+    Given a horizon (an integer >= 1; social presets only), the bound covers
+    the worse player's dynamic regret instead, which grows with the horizon.
     """
-    _check_preset(name, m, n)
-    if horizon is not None:
-        if name not in SOCIAL_PRESETS:
-            raise ValueError(f"preset {name} carries no dynamic-regret bound")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        return theoretical_upper(name, m, n) * (math.log(horizon) + 1.0)
-    b_any = BoundInputs.from_actions(m, n)
-    if name == "U-Social":
-        return 2.0 * (b_any.log_m + b_any.log_n) + 1.0
-    if name == "U-X-only":
-        return b_any.log_m + 0.5
-    if name in ("U-MaxInd-Cl", "U-MaxInd-Num"):
-        return 3.0 * _SQ3 * (b_any.log_m + b_any.log_n) + 1.0 / _SQ3
-    b = _aware_inputs(name, m, n)
-    root_xy = math.sqrt(b.log_m * b.log_n_plus)
-    root_yx = math.sqrt(b.log_m_plus * b.log_n)
-    if name == "A-Social":
-        return 2.0 * (root_xy + root_yx)
-    if name == "A-X-only":
-        return 1.5 * root_xy
-    if name == "A-MaxInd-Cl":
-        return (20.0 / 3.0) * (root_xy + root_yx)
-    return _aware_numeric_result(m, n).objective_value  # A-MaxInd-Num
+    bound = _preset(name, m, n)[1]
+    if horizon is None:
+        return bound
+    if name not in SOCIAL_PRESETS:
+        raise ValueError(f"preset {name} carries no dynamic-regret bound")
+    require_integers(horizon=horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return bound * (math.log(horizon) + 1.0)

@@ -133,6 +133,11 @@ def test_weighted_gamma_validation():
         minimize("weighted", UNIT, gamma=1.1)
     with pytest.raises(InvalidGammaError):
         minimize("weighted", UNIT)
+    # bools are not weights, and only the weighted objective takes one
+    bad = [("weighted", True), ("weighted", np.False_), ("max", 0.3), ("max", 0.0), ("social", 0.5)]
+    for objective, gamma in bad:
+        with pytest.raises(InvalidGammaError):
+            minimize(objective, UNIT, gamma=gamma)
 
 
 def test_weighted_endpoints_clamp():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -8,10 +9,14 @@ import pytest
 from hedgelab import (
     PRESET_TARGETS,
     PRESETS,
+    AveragedHedge,
     BoundInputs,
+    OptimisticHedge,
     RateParams,
     TransformedParams,
+    dynamic_regret_lower_bound,
     eval_log_bounds,
+    external_regret_lower_bound,
     from_transformed,
     preset_rates,
     theoretical_upper,
@@ -322,6 +327,44 @@ def test_action_counts_must_be_integers(call, m, n, bad):
     message = f"{bad} must be an integer, got {(m if bad == 'm' else n)!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(m, n)
+
+
+@pytest.mark.parametrize(
+    "call, key, value",
+    [
+        (lambda: OptimisticHedge(2.7, 0.5), "dim", 2.7),
+        (lambda: OptimisticHedge(True, 0.5), "dim", True),
+        (lambda: OptimisticHedge((3, np.True_), (0.5, 0.5)), "dim", np.True_),
+        (lambda: AveragedHedge(2.7, 0.5), "dim", 2.7),
+        (lambda: AveragedHedge((True, 3), (0.5, 0.5)), "dim", True),
+        (lambda: external_regret_lower_bound(2.5, 0.5, 10), "num_actions", 2.5),
+        (lambda: external_regret_lower_bound(3, 0.5, True), "horizon", True),
+        (lambda: dynamic_regret_lower_bound(True, 0.5, 10), "num_actions", True),
+        (lambda: dynamic_regret_lower_bound(3, 0.5, 10.0), "horizon", 10.0),
+        (lambda: theoretical_upper("U-Social", 2, 2, horizon=math.nan), "horizon", math.nan),
+        (lambda: theoretical_upper("A-Social", 2, 2, horizon=2.5), "horizon", 2.5),
+        (lambda: theoretical_upper("U-Social", 2, 2, horizon=True), "horizon", True),
+    ],
+)
+def test_dims_counts_and_horizons_must_be_integers(call, key, value):
+    message = f"{key} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return "returned"
+
+
+@pytest.mark.parametrize("name", PRESETS + ("no-such-preset",))
+def test_preset_functions_reject_the_same_inputs(name):
+    counts = (0, -3, 1, 2.5, True, 3)
+    for m, n in itertools.product(counts, counts):
+        assert _outcome(preset_rates, name, m, n) == _outcome(theoretical_upper, name, m, n), (m, n)
 
 
 def test_numpy_integer_action_counts_are_the_int_counts():
