@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_count, require_real
 from .game import PayoffMatrix
-from .learners import require_integers, top
+from .learners import top
 
 
 class RegretMeter:
@@ -87,13 +88,9 @@ class LowerBoundValue:
 
 
 def _check_lb_args(num_actions: int, rate: float, horizon: int) -> None:
-    require_integers(num_actions=num_actions, horizon=horizon)
-    if num_actions < 2:
-        raise ValueError(f"num_actions must be >= 2, got {num_actions}")
-    if rate <= 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    require_count("num_actions", num_actions, 2)
+    require_real("rate", rate, "(0, inf)")
+    require_count("horizon", horizon, 1)
 
 
 def external_regret_lower_bound(num_actions: int, rate: float, horizon: int) -> LowerBoundValue:

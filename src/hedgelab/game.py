@@ -20,6 +20,8 @@ from .errors import (
     InvalidDeltaError,
     MatrixFormatError,
     TooFewActionsError,
+    require_count,
+    require_real,
 )
 
 Observer = Callable[[int, np.ndarray, np.ndarray], None]
@@ -61,10 +63,9 @@ def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
     no matter what the opponent plays, which makes regret trajectories
     predictable in closed form.
     """
-    if m < 2 or n < 2:
-        raise TooFewActionsError("adversarial instance needs m >= 2 and n >= 2")
-    if not (0.0 < delta <= 1.0):
-        raise InvalidDeltaError(f"delta must lie in (0, 1], got {delta}")
+    require_count("m", m, 2, TooFewActionsError)
+    require_count("n", n, 2, TooFewActionsError)
+    require_real("delta", delta, "(0, 1]", InvalidDeltaError)
     a = np.zeros((m, n))
     a[0, 1:] = delta
     a[1:, 0] = -delta
@@ -85,8 +86,7 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
     both roles. `observer` is called with (t, z, u) before the players update;
     nothing else of a round is kept.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    require_count("horizon", horizon, 0)
     m, n = payoffs.m, payoffs.n
     if players.dims != (m, n):
         raise DimensionMismatchError(f"player dims {players.dims} do not match a {m}x{n} game")

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .analysis import (
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
 )
-from .errors import ConfigError, InvalidGammaError
+from .errors import ConfigError, InvalidGammaError, require_count, require_real
 from .game import PayoffMatrix, adversarial_matrix, load_matrix_file, matching_pennies, play_match
 from .learners import AveragedHedge, OptimisticHedge
 from .optim import BoundInputs, minimize, warn_unconverged
@@ -77,29 +76,27 @@ class ExperimentConfig:
     cadence: int = 1
 
     def __post_init__(self):
-        # Each field has its default's type; an int is a real number, a bool
-        # is not an integer, and matrix_path may stay None.
+        # Each field has its default's type. The counts are >= 1 (verify's
+        # floors and the averaged dynamic's bound need at least one round),
+        # delta, the one real field, lies in (0, 1], and matrix_path may
+        # stay None.
         for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
+            key, value, kind = _KEY_OF.get(f.name, f.name), getattr(self, f.name), type(f.default)
             if kind is int:
-                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                require_count(key, value, 1, ConfigError)
             elif kind is float:
-                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                require_real(key, value, "(0, 1]", ConfigError)
             elif kind is tuple:
-                ok = isinstance(value, tuple) and all(isinstance(p, str) for p in value)
-            else:
-                ok = isinstance(value, str) or (value is None and f.default is None)
-            if not ok:
-                noun = _NOUNS.get(kind, "a string")
-                raise ConfigError(f"{_KEY_OF.get(f.name, f.name)} must be {noun}, got {value!r}")
+                if not (isinstance(value, tuple) and all(isinstance(p, str) for p in value)):
+                    raise ConfigError(f"{key} must be a tuple of preset names, got {value!r}")
+            elif not (isinstance(value, str) or (value is None and f.default is None)):
+                raise ConfigError(f"{key} must be a string, got {value!r}")
         for key, value, choices in (
             ("instance", self.instance, INSTANCES),
             ("algo", self.algorithm, ALGORITHMS),
         ):
             if value not in choices:
                 raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not self.presets:
             raise ConfigError("presets must name at least one preset")
         for i, p in enumerate(self.presets):
@@ -109,11 +106,6 @@ class ExperimentConfig:
                 raise ConfigError(f"preset {p!r} is named twice")
         if self.instance == "file" and not self.matrix_path:
             raise ConfigError("instance=file needs matrix_file")
-        # verify's floors and the averaged dynamic's bound need at least one round
-        counts = (("m", self.m), ("n", self.n), ("T", self.horizon), ("cadence", self.cadence))
-        for key, value in counts:
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.instance == "adversarial" and (self.m < 2 or self.n < 2):
             raise ConfigError(
                 f"adversarial instance needs m >= 2 and n >= 2, got ({self.m}, {self.n})"
@@ -125,7 +117,6 @@ class ExperimentConfig:
 _KEY_OF = {"horizon": "T", "matrix_path": "matrix_file", "algorithm": "algo", "out_dir": "out"}
 _FIELD_OF = {_KEY_OF.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 CONFIG_KEYS = tuple(_FIELD_OF)
-_NOUNS = {int: "an integer", float: "a real number", tuple: "a tuple of preset names"}
 
 
 def load_config_file(path) -> dict:
@@ -149,16 +140,16 @@ def load_config_file(path) -> dict:
 
 
 def _parse(key: str, text: str):
-    """A config key's string value, typed as its ExperimentConfig default."""
+    """A config key's string value, typed as its ExperimentConfig default;
+    text that does not convert is handed on as is, for the number rule to
+    name."""
     kind = type(_FIELD_OF[key].default)
     if kind is tuple:
         return PRESETS if text == "all" else tuple(p.strip() for p in text.split(",") if p.strip())
-    if kind not in _NOUNS:
-        return text
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be {_NOUNS[kind]}, got {text!r}") from None
+    if kind in (int, float):
+        with suppress(ValueError):
+            return kind(text)
+    return text
 
 
 def build_config(values: dict) -> ExperimentConfig:
@@ -293,13 +284,12 @@ DEFAULT_GAMMA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 def sweep_gamma(m: int, n: int, grid=None, out_path=None):
     """Tradeoff sweep: optimal per-player bounds along a weight grid, then the
     min-max point as a final row. Returns the rows; writes a CSV if asked."""
+    b = BoundInputs.from_actions(m, n)
     grid = tuple(grid) if grid is not None else DEFAULT_GAMMA_GRID
     if not grid:
         raise InvalidGammaError("sweep weight grid is empty")
     for g in grid:
-        if not (0.0 < g < 1.0):
-            raise InvalidGammaError(f"sweep weights must lie strictly in (0, 1), got {g}")
-    b = BoundInputs.from_actions(m, n)
+        require_real("sweep weight", g, "(0, 1)", InvalidGammaError)
     rows = []
     for g in grid:
         res = minimize("weighted", b, gamma=g)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -11,6 +10,8 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteWeightError,
     UtilityOutOfRangeError,
+    require_count,
+    require_real,
 )
 
 # Utilities computed as A @ y carry rounding, so the range check leaves a hair
@@ -40,13 +41,6 @@ def bottom(v: np.ndarray) -> float:
     return v.item(v.argmin())
 
 
-def require_integers(**values) -> None:
-    """Action counts and horizons are integers; numpy integers pass, bools do not."""
-    for key, value in values.items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 def _checked_utilities(utilities, dim: int) -> np.ndarray:
     u = np.asarray(utilities, dtype=np.float64)
     if u.shape != (dim,):
@@ -58,8 +52,7 @@ def _checked_utilities(utilities, dim: int) -> np.ndarray:
 
 
 def uniform_strategy(dim: int) -> np.ndarray:
-    if dim < 1:
-        raise ValueError(f"need at least one action, got {dim}")
+    require_count("dim", dim, 1)
     return np.full(dim, 1.0 / dim)
 
 
@@ -87,18 +80,17 @@ class OptimisticHedge:
 
     def __init__(self, dims, rates):
         dims = tuple(dims) if np.ndim(dims) else (dims,)
+        # An object array keeps each rate's own type, so a bool or a string
+        # among floats is named as given rather than cast.
+        given = np.atleast_1d(np.array(rates, dtype=object))
         for dim in dims:
-            require_integers(dim=dim)
+            require_count("dim", dim, 1)
+        for rate in given:
+            require_real("rate", rate, "[0, inf)")
         self.dims = tuple(int(d) for d in dims)
-        self.rates = tuple(float(r) for r in np.atleast_1d(rates))
+        self.rates = tuple(float(r) for r in given)
         if len(self.dims) != len(self.rates) or not self.dims:
             raise ValueError(f"need one rate per block, got {rates!r} for {dims!r}")
-        for dim in self.dims:
-            if dim < 1:
-                raise ValueError(f"need at least one action, got {dim}")
-        for rate in self.rates:
-            if not (math.isfinite(rate) and rate >= 0):
-                raise ValueError(f"rate must be finite and >= 0, got {rate}")
         self.dim = sum(self.dims)
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)

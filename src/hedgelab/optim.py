@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGameError, InvalidGammaError
+from .errors import DegenerateGameError, InvalidGammaError, require_real
 from .rates import (
     UNAWARE_TABLES,
     BoundInputs,
@@ -172,11 +172,10 @@ def minimize(objective: str, b: BoundInputs, gamma: float | None = None) -> Opti
         raise DegenerateGameError("bound objectives need m >= 2 and n >= 2")
     if objective not in ("social", "weighted", "max"):
         raise ValueError(f"unknown objective {objective!r}")
-    if objective != "weighted":
-        if gamma is not None:
-            raise InvalidGammaError(f"objective {objective!r} takes no gamma, got {gamma}")
-    elif isinstance(gamma, (bool, np.bool_)) or gamma is None or not 0.0 <= gamma <= 1.0:
-        raise InvalidGammaError(f"gamma must lie in [0, 1], got {gamma}")
+    if objective == "weighted":
+        require_real("gamma", gamma, "[0, 1]", InvalidGammaError)
+    elif gamma is not None:
+        raise InvalidGammaError(f"objective {objective!r} takes no gamma, got {gamma}")
     z0 = _default_start(b)
     if objective == "social":
         coefs, expos = social_table(b)

@@ -18,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGameError
-from .learners import require_integers
+from .errors import DegenerateGameError, require_count, require_real
 
 
 @dataclass(frozen=True)
@@ -37,13 +36,9 @@ class RateParams:
 
     def __post_init__(self):
         for name in ("eta_x", "eta_y"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            require_real(name, getattr(self, name), "[0, inf)")
         for name in ("c_x", "c_y"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+            require_real(name, getattr(self, name), "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -59,13 +54,9 @@ class TransformedParams:
 
     def __post_init__(self):
         for name in ("a_x", "a_y"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            require_real(name, getattr(self, name), "(0, inf)")
         for name in ("s_x", "s_y"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            require_real(name, getattr(self, name), "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -77,9 +68,8 @@ class BoundInputs:
 
     @classmethod
     def from_actions(cls, m: int, n: int) -> "BoundInputs":
-        require_integers(m=m, n=n)
-        if m < 1 or n < 1:
-            raise ValueError(f"action counts must be >= 1, got ({m}, {n})")
+        require_count("m", m, 1)
+        require_count("n", n, 1)
         return cls(math.log(m), math.log(n))
 
     @property
@@ -246,7 +236,5 @@ def theoretical_upper(name: str, m: int, n: int, horizon: int | None = None) -> 
         return bound
     if name not in SOCIAL_PRESETS:
         raise ValueError(f"preset {name} carries no dynamic-regret bound")
-    require_integers(horizon=horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    require_count("horizon", horizon, 1)
     return bound * (math.log(horizon) + 1.0)

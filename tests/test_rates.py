@@ -14,14 +14,18 @@ from hedgelab import (
     OptimisticHedge,
     RateParams,
     TransformedParams,
+    adversarial_matrix,
     dynamic_regret_lower_bound,
     eval_log_bounds,
     external_regret_lower_bound,
     from_transformed,
+    matching_pennies,
+    play_match,
     preset_rates,
     theoretical_upper,
+    uniform_strategy,
 )
-from hedgelab.errors import DegenerateGameError
+from hedgelab.errors import DegenerateGameError, InvalidDeltaError, require_real
 from hedgelab.rates import social_table
 
 from oracles import (
@@ -344,12 +348,60 @@ def test_action_counts_must_be_integers(call, m, n, bad):
         (lambda: theoretical_upper("U-Social", 2, 2, horizon=math.nan), "horizon", math.nan),
         (lambda: theoretical_upper("A-Social", 2, 2, horizon=2.5), "horizon", 2.5),
         (lambda: theoretical_upper("U-Social", 2, 2, horizon=True), "horizon", True),
+        pytest.param(lambda: _play(True), "horizon", True, id="play_match-True"),
+        pytest.param(lambda: _play(2.5), "horizon", 2.5, id="play_match-2.5"),
+        pytest.param(lambda: adversarial_matrix(2.5, 3, 0.5), "m", 2.5, id="adversarial-2.5"),
+        pytest.param(lambda: uniform_strategy(True), "dim", True, id="uniform-True"),
+        pytest.param(lambda: uniform_strategy(2.5), "dim", 2.5, id="uniform-2.5"),
     ],
 )
 def test_dims_counts_and_horizons_must_be_integers(call, key, value):
     message = f"{key} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _play(horizon):
+    players = OptimisticHedge((2, 2), (0.5, 0.5))
+    play_match(matching_pennies(), players, horizon, lambda *_: None)
+
+
+@pytest.mark.parametrize(
+    "call, error, key, value",
+    [
+        (lambda: OptimisticHedge(2, True), ValueError, "rate", True),
+        (lambda: OptimisticHedge(2, "0.5"), ValueError, "rate", "0.5"),
+        (lambda: AveragedHedge(2, np.True_), ValueError, "rate", np.True_),
+        (lambda: RateParams(True, 0.5, 0.5, 0.5), ValueError, "eta_x", True),
+        (lambda: RateParams(0.5, 0.5, 0.5, "x"), ValueError, "c_y", "x"),
+        (lambda: TransformedParams(True, 1.0, 0.0, 0.0), ValueError, "a_x", True),
+        (lambda: external_regret_lower_bound(3, True, 10), ValueError, "rate", True),
+        (lambda: dynamic_regret_lower_bound(3, "1", 10), ValueError, "rate", "1"),
+        (lambda: adversarial_matrix(3, 3, True), InvalidDeltaError, "delta", True),
+    ],
+)
+def test_rates_splits_and_gaps_must_be_real_numbers(call, error, key, value):
+    message = f"{key} must be a real number, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "interval, inside, outside",
+    [
+        ("(0, 1]", (1e-300, 1, 1.0), (0, 0.0, 1.0000000000000002, -math.inf)),
+        ("[0, 1]", (0, -0.0, 1), (-1e-300, 2)),
+        ("(0, 1)", (0.5,), (0.0, 1.0)),
+        ("[0, inf)", (0, 1e308, np.float32(2.5)), (-1, math.inf)),
+        ("(0, inf)", (5e-324,), (0.0, math.inf, -math.inf)),
+    ],
+)
+def test_real_intervals_hold_their_ends_and_reject_nan(interval, inside, outside):
+    for value in inside:
+        require_real("x", value, interval)
+    for value in (*outside, math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"x must lie in {interval}, got")):
+            require_real("x", value, interval)
 
 
 def _outcome(fn, *args):

@@ -134,17 +134,30 @@ def test_every_module_level_name_is_read():
     assert not unread
 
 
+# The number checks in errors.py raise the error class given as their
+# fourth argument or as error=.
+NUMBER_CHECKS = {"require_count", "require_real"}
+
+
+def name_of(node):
+    """A plain or attribute name's last part; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def raised_names(source: str):
-    """Names of what `source` raises, called or not, plain or as an attribute."""
-    found = set()
+    """Names of what `source` raises, called or not, plain or as an
+    attribute, and of the error classes it hands to a number check."""
+    raised = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name):
-                found.add(exc.id)
-            elif isinstance(exc, ast.Attribute):
-                found.add(exc.attr)
-    return found
+            raised.append(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        elif isinstance(node, ast.Call) and name_of(node.func) in NUMBER_CHECKS:
+            raised += node.args[3:] + [kw.value for kw in node.keywords if kw.arg == "error"]
+    return {name for node in raised if (name := name_of(node))}
 
 
 def test_every_export_is_documented():
@@ -166,10 +179,19 @@ def test_raised_name_finder():
         "    except ValueError:\n"
         "        raise\n"
         "    raise BareError\n"
-        "def h():\n"
+        "def h(m, d):\n"
+        "    require_count('m', m, 2, TooFewActionsError)\n"
+        "    errors.require_real('d', d, '(0, 1]', error=errors.InvalidDeltaError)\n"
+        "    require_real('d', d, '[0, 1]')\n"
         "    return UnraisedError('built, never raised')\n"
     )
-    assert raised_names(source) == {"ConfigError", "MatrixFormatError", "BareError"}
+    assert raised_names(source) == {
+        "ConfigError",
+        "MatrixFormatError",
+        "BareError",
+        "TooFewActionsError",
+        "InvalidDeltaError",
+    }
 
 
 def test_every_error_class_is_raised():
@@ -177,7 +199,8 @@ def test_every_error_class_is_raised():
     # it in __init__ or another module counts as a read for
     # test_every_module_level_name_is_read.
     raised = set().union(*(raised_names(p.read_text()) for p in PACKAGE.glob("*.py")))
-    classes = [name for _, name in defined_names((PACKAGE / "errors.py").read_text())]
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
     assert classes
     assert [name for name in classes if name not in raised] == []
 
