@@ -81,10 +81,19 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
 
     `players` holds the row and the column player as the blocks (m, n) of
     one state, as OptimisticHedge((m, n), rates) does. Each round it commits
-    z = (x, y); each player then observes its own block of u = (A y, -A^T x),
+    z = (x, y); each player then counts its own block of u = (A y, -A^T x),
     the gain vector and the negated loss vector, so one learner update serves
     both roles. `observer` is called with (t, z, u) before the players update;
     nothing else of a round is kept.
+
+    The players count u through their unchecked `_update`, not `observe`,
+    because u cannot fail the range check: each entry is a row of A, whose
+    entries lie in [-1, 1], times a strategy whose entries are >= 0 and sum
+    to 1 up to rounding, so it lies within rounding of [-1, 1]; and u is
+    finite, because PayoffMatrix rejects non-finite entries and the Hedge
+    step raises NonFiniteWeightError on a non-finite score. The check could
+    only fire falsely, once n * eps nears UTILITY_SLACK. u is a fresh array
+    each round, so the players may keep it.
     """
     require_count("horizon", horizon, 0)
     m, n = payoffs.m, payoffs.n
@@ -100,7 +109,7 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
         at.dot(z[:m], out=u_y)
         np.negative(u_y, u_y)
         observer(t, z, u)
-        players.observe(u)
+        players._update(u)
 
 
 def load_matrix_file(path) -> PayoffMatrix:

@@ -183,8 +183,9 @@ def run_metered(
 
     The final row is taken once, after the match. With write_row, a row
     taken every `cadence` rounds before the last goes to write_row at once,
-    and the final row follows it; without it the meter alone observes. No
-    row is kept, so memory is O(m + n) at any horizon. The nash_gap column
+    and the final row follows it; without it, or with no row due before the
+    last round (cadence >= horizon), the meter alone observes. No row is
+    kept, so memory is O(m + n) at any horizon. The nash_gap column
     describes the time-averaged pair for the plain dynamic and the played
     (already averaged) pair for the averaged dynamic.
     """
@@ -197,7 +198,8 @@ def run_metered(
         if t % cadence == 0 and t < horizon:
             write_row(meter.snapshot(gap_mode))
 
-    play_match(payoffs, players, horizon, observer if write_row else meter.update)
+    rows_due = write_row and cadence < horizon
+    play_match(payoffs, players, horizon, observer if rows_due else meter.update)
     final = meter.snapshot(gap_mode)
     if write_row:
         write_row(final)

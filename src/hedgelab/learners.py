@@ -42,7 +42,9 @@ def bottom(v: np.ndarray) -> float:
 
 
 def _checked_utilities(utilities, dim: int) -> np.ndarray:
-    u = np.asarray(utilities, dtype=np.float64)
+    """A checked copy of an outside caller's utilities, so that a learner
+    keeping it as `last` is not changed when the caller reuses its array."""
+    u = np.array(utilities, dtype=np.float64)
     if u.shape != (dim,):
         raise DimensionMismatchError(f"expected {dim} utilities, got shape {u.shape}")
     limit = 1.0 + UTILITY_SLACK
@@ -115,6 +117,11 @@ class OptimisticHedge:
         self._rate_span = np.repeat(self.rates, self.dims)[self._span]
 
     def next_strategy(self) -> np.ndarray:
+        return self._step().copy()
+
+    def _step(self) -> np.ndarray:
+        """One Hedge step; returns the work buffer, which the next step
+        overwrites."""
         scores = np.add(self._cum_span, self.last[self._span], self._scores_span)
         scores *= self._rate_span
         for block, _ in self._blocks:
@@ -135,13 +142,15 @@ class OptimisticHedge:
             np.exp(scores, out=scores)
         for block, total in self._blocks:
             np.divide(block, np.add.reduce(block, out=total), block)
-        return self._scores.copy()
+        return self._scores
 
     def observe(self, utilities) -> None:
         self._update(_checked_utilities(utilities, self.dim))
 
     def _update(self, u: np.ndarray) -> None:
-        """Count an already-checked utility vector; u must not be mutated later."""
+        """Count a utility vector that lies within UTILITY_SLACK of [-1, 1],
+        unchecked; u is kept as `last`, so it must not change before the next
+        step has read it."""
         self.cum += u
         self.last = u
 
@@ -165,8 +174,11 @@ class AveragedHedge:
     iterate mean uses compensated summation. observe() range-checks the
     averaged utilities it is given; the reconstruction, whose float error
     grows like t * eps, goes to the inner learner unchecked and is then
-    inner.last. It takes dims and rates as OptimisticHedge does, so one
-    learner holds every player.
+    inner.last. The reconstruction is written in place into one buffer,
+    which is enough because the inner step reads inner.last before the next
+    round writes it.
+    It takes dims and rates as OptimisticHedge does, so one learner holds
+    every player.
     """
 
     def __init__(self, dims, rates):
@@ -177,11 +189,12 @@ class AveragedHedge:
         self._iter_sum = np.zeros(self.dim)
         self._iter_comp = np.zeros(self.dim)
         self._kahan_work = np.empty(self.dim), np.empty(self.dim)
+        self._recon = np.empty(self.dim)
         self._pending: np.ndarray | None = None
 
     def next_strategy(self) -> np.ndarray:
         if self._pending is None:
-            inner = self.inner.next_strategy()
+            inner = self.inner._step()
             _kahan_add(self._iter_sum, self._iter_comp, inner, *self._kahan_work)
             self._pending = self._iter_sum / self.round
         return self._pending
@@ -189,7 +202,13 @@ class AveragedHedge:
     def observe(self, utilities) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called before next_strategy()")
-        u = _checked_utilities(utilities, self.dim)
-        self.inner._update(self.round * u - self.inner.cum)
+        self._update(_checked_utilities(utilities, self.dim))
+
+    def _update(self, u: np.ndarray) -> None:
+        """Count the averaged utilities u, unchecked, as OptimisticHedge._update
+        does; next_strategy() must have been called since the last update."""
+        recon = np.multiply(u, self.round, out=self._recon)
+        np.subtract(recon, self.inner.cum, out=recon)
+        self.inner._update(recon)
         self.round += 1
         self._pending = None

@@ -66,13 +66,14 @@ def keep_inner(learner) -> SimpleNamespace:
     """Spy on an AveragedHedge: the returned object's `last` is the inner
     learner's latest iterate, the strategy the average was last fed."""
     spy = SimpleNamespace(last=None)
-    draw = learner.inner.next_strategy
+    draw = learner.inner._step
 
-    def next_strategy():
-        spy.last = draw()
-        return spy.last
+    def step():
+        iterate = draw()
+        spy.last = iterate.copy()  # the next step overwrites the buffer
+        return iterate
 
-    learner.inner.next_strategy = next_strategy
+    learner.inner._step = step
     return spy
 
 

@@ -151,6 +151,19 @@ def test_rate_0_end_blocks_are_written_once():
     assert np.array_equal(z[5:], uniform_strategy(4))
 
 
+def test_observe_keeps_its_own_copy():
+    # a caller that reuses its utility array must not change the learner
+    learner, fresh = OptimisticHedge(3, 0.5), OptimisticHedge(3, 0.5)
+    buf = np.array([0.5, -0.5, 0.0])
+    learner.observe(buf)
+    fresh.observe(np.array([0.5, -0.5, 0.0]))
+    buf[:] = 0.0
+    assert not np.shares_memory(learner.last, buf)
+    x = learner.next_strategy()
+    assert np.array_equal(x, fresh.next_strategy())
+    assert x == pytest.approx([0.506, 0.186, 0.307], abs=1e-3)
+
+
 def test_strategies_are_fresh_arrays():
     learner = OptimisticHedge(3, 0.5)
     learner.observe(np.array([0.5, -0.5, 0.0]))

@@ -268,6 +268,9 @@ def test_slow_call_finder():
         RegretMeter.snapshot,
         play_match,
         run_metered,
+        OptimisticHedge._step,
+        OptimisticHedge._update,
+        AveragedHedge._update,
     ],
     ids=lambda f: f.__qualname__,
 )

@@ -22,6 +22,7 @@ from hedgelab import (
     play_match,
     preset_rates,
 )
+from hedgelab.learners import UTILITY_SLACK, top
 
 ALGORITHMS = {"hedge": OptimisticHedge, "averaged": AveragedHedge}
 # Rates well above the presets' push weights below the floor within 300 rounds.
@@ -154,3 +155,48 @@ def test_block_view_reads_equal_standalone_reads(size):
         assert view.argmax() == copy.argmax()
         assert view.argmin() == copy.argmin()
         assert np.add.reduce(view).tobytes() == np.add.reduce(copy).tobytes()
+
+
+def final_row_bytes(payoffs, cls, rates, horizon):
+    meter = RegretMeter(payoffs)
+    play_match(payoffs, cls((payoffs.m, payoffs.n), rates), horizon, meter.update)
+    return row_bytes(meter.snapshot())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 3)], ids=["2x2", "7x3"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_engine_counts_its_utilities_unchecked(monkeypatch, shape, algorithm):
+    # play_match builds u from a checked matrix and two strategies, so it
+    # counts u through the players' unchecked update; only an outside
+    # caller's utilities go through the range check.
+    payoffs = PayoffMatrix(np.random.default_rng(2020).uniform(-1.0, 1.0, shape))
+    cls, rates = ALGORITHMS[algorithm], (0.7, 0.4)
+    want = final_row_bytes(payoffs, cls, rates, 300)
+
+    def refuse(utilities, dim):
+        raise AssertionError("the engine range-checked its own utilities")
+
+    monkeypatch.setattr("hedgelab.learners._checked_utilities", refuse)
+    assert final_row_bytes(payoffs, cls, rates, 300) == want
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (10, 10), (2, 10000)], ids=["2x2", "10x10", "2x10000"])
+@pytest.mark.parametrize("instance", ["adversarial", "random"])
+def test_engine_utilities_lie_within_the_range_check(shape, instance):
+    # What makes the unchecked update sound: every u the engine makes would
+    # pass observe's range check, for every preset's rates and both dynamics.
+    if instance == "adversarial":
+        payoffs = adversarial_matrix(*shape, 1.0)
+    else:
+        payoffs = PayoffMatrix(np.random.default_rng(2021).uniform(-1.0, 1.0, shape))
+    largest = 0.0
+
+    def observer(t, z, u):
+        nonlocal largest
+        largest = max(largest, top(np.abs(u)))
+
+    for preset in PRESETS:
+        rp = preset_rates(preset, *shape)
+        for cls in ALGORITHMS.values():
+            play_match(payoffs, cls(shape, (rp.eta_x, rp.eta_y)), 200, observer)
+    assert 0.0 < largest <= 1.0 + UTILITY_SLACK
