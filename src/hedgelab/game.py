@@ -9,8 +9,9 @@ column player the loss vector A^T x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,38 @@ from .errors import (
 )
 
 Observer = Callable[[int, np.ndarray, np.ndarray], None]
+
+
+class ActionClasses(NamedTuple):
+    """One player's classes of identical actions: each class's first member,
+    in increasing order, and the number of actions in the class."""
+
+    first: np.ndarray
+    counts: np.ndarray
+
+
+def _action_classes(a: np.ndarray) -> ActionClasses:
+    """The classes of equal rows of `a`.
+
+    Adding +0.0 turns -0.0 into +0.0, so rows equal in value are equal in
+    bytes (the entries are finite). A stable sort of the rows as byte
+    strings then puts each class in one run, its first member first.
+    """
+    a = np.add(a, 0.0, order="C")
+    order = np.argsort(a.view(np.dtype((np.void, a[0].nbytes))).ravel(), kind="stable")
+    runs = a[order]
+    opens = np.ones(len(a), dtype=bool)
+    np.any(runs[1:] != runs[:-1], axis=1, out=opens[1:])
+    starts = np.flatnonzero(opens)
+    first = order[starts]
+    by_first = np.argsort(first)
+    return _read_only(first[by_first], np.diff(starts, append=len(a))[by_first])
+
+
+def _read_only(first, counts) -> ActionClasses:
+    first.setflags(write=False)
+    counts.setflags(write=False)
+    return ActionClasses(first, counts)
 
 
 @dataclass(frozen=True)
@@ -53,6 +86,26 @@ class PayoffMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def classes(self) -> tuple[ActionClasses, ActionClasses]:
+        """The row player's and the column player's classes of identical
+        actions (equal rows, equal columns), found on first use and kept.
+        Entries are compared by value, so +0.0 and -0.0 split no class."""
+        return _action_classes(self.entries), _action_classes(self.entries.T)
+
+    def quotient(self) -> tuple[PayoffMatrix, np.ndarray | None]:
+        """The game of distinct actions and the size of each one's class.
+
+        Returns the matrix of each row class's and each column class's first
+        member, with the class sizes (rows, then columns) as one vector; or
+        this matrix and None when no two rows and no two columns are equal.
+        """
+        rows, cols = self.classes
+        if len(rows.first) == self.m and len(cols.first) == self.n:
+            return self, None
+        q = PayoffMatrix(self.entries[np.ix_(rows.first, cols.first)])
+        return q, np.concatenate((rows.counts, cols.counts))
+
 
 def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
     """Instance whose unique equilibrium puts both players on action 1.
@@ -61,7 +114,8 @@ def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
     everything else (including the corner) is 0. Against it, any learner's
     per-round gain gap between action 1 and any other action is exactly delta
     no matter what the opponent plays, which makes regret trajectories
-    predictable in closed form.
+    predictable in closed form. Its classes come with it: action 1 stands
+    alone and the other actions are one class, for each player.
     """
     require_count("m", m, 2, TooFewActionsError)
     require_count("n", n, 2, TooFewActionsError)
@@ -69,7 +123,13 @@ def adversarial_matrix(m: int, n: int, delta: float) -> PayoffMatrix:
     a = np.zeros((m, n))
     a[0, 1:] = delta
     a[1:, 0] = -delta
-    return PayoffMatrix(a)
+    payoffs = PayoffMatrix(a)
+    # PayoffMatrix.classes is a cached_property, which keeps its value in
+    # the instance's __dict__.
+    payoffs.__dict__["classes"] = tuple(
+        _read_only(np.arange(2), np.array([1, k - 1])) for k in (m, n)
+    )
+    return payoffs
 
 
 def matching_pennies() -> PayoffMatrix:

@@ -170,12 +170,6 @@ def instance_matrix(cfg: ExperimentConfig) -> PayoffMatrix:
     return load_matrix_file(cfg.matrix_path)
 
 
-def _make_players(algorithm: str, dims: tuple, rates: tuple):
-    if algorithm == "averaged":
-        return AveragedHedge(dims, rates)
-    return OptimisticHedge(dims, rates)
-
-
 def run_metered(
     payoffs: PayoffMatrix, algorithm: str, rp, horizon: int, write_row=None, cadence: int = 1
 ):
@@ -188,8 +182,21 @@ def run_metered(
     kept, so memory is O(m + n) at any horizon. The nash_gap column
     describes the time-averaged pair for the plain dynamic and the played
     (already averaged) pair for the averaged dynamic.
+
+    A game with two equal rows or two equal columns is played as its
+    quotient (PayoffMatrix.quotient), one action per class of identical
+    actions, by learners whose counts are the class sizes, and metered on
+    the quotient: identical actions get identical scores, so each class
+    plays the mass its actions would, and every metric reads the same
+    values, to rounding, as on the full game; the meter returned is then
+    the quotient's. Any other game is played as it is.
     """
-    players = _make_players(algorithm, (payoffs.m, payoffs.n), (rp.eta_x, rp.eta_y))
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+    require_count("cadence", cadence, 1)
+    payoffs, counts = payoffs.quotient()
+    learner = AveragedHedge if algorithm == "averaged" else OptimisticHedge
+    players = learner((payoffs.m, payoffs.n), (rp.eta_x, rp.eta_y), counts)
     meter = RegretMeter(payoffs)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
 

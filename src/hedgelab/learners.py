@@ -78,9 +78,15 @@ class OptimisticHedge:
     Weights below e^EXP_FLOOR = e^-690 of the leader's are played as exactly
     0: those actions would get probability below 2.9e-300, and every other
     entry is the same bits as the plain softmax.
+
+    counts, one real >= 1 per entry, gives the entries prior weights: an
+    entry's weight is its count times exp(its score), so an entry standing
+    for a class of k identical actions plays the mass the k actions would,
+    and a rate-0 block plays counts / (their sum). counts=None is all ones,
+    with no extra pass.
     """
 
-    def __init__(self, dims, rates):
+    def __init__(self, dims, rates, counts=None):
         dims = tuple(dims) if np.ndim(dims) else (dims,)
         # An object array keeps each rate's own type, so a bool or a string
         # among floats is named as given rather than cast.
@@ -94,13 +100,21 @@ class OptimisticHedge:
         if len(self.dims) != len(self.rates) or not self.dims:
             raise ValueError(f"need one rate per block, got {rates!r} for {dims!r}")
         self.dim = sum(self.dims)
+        prior = np.ones(self.dim) if counts is None else np.array(counts, dtype=np.float64)
+        if prior.shape != (self.dim,):
+            raise DimensionMismatchError(f"expected {self.dim} counts, got shape {prior.shape}")
+        # >= 1 keeps the leader's weight, and with it every weight sum, >= 1,
+        # which EXP_FLOOR's argument needs; NaN fails too.
+        if not np.all((prior >= 1.0) & (prior < math.inf)):
+            raise ValueError("counts must be finite and >= 1")
         self.cum = np.zeros(self.dim)
         self.last = np.zeros(self.dim)
         # The step runs over the span from the first to the last block with
         # rate > 0 (all blocks if none has): a rate-0 block inside it steps on
-        # +-0 scores, which give exactly 1/dim, and one outside it is written
-        # here once. Each stepped block sums its weights into a 0-d array,
-        # which the division takes faster than a float.
+        # +-0 scores, which give exactly counts / (their sum), 1/dim without
+        # counts, and one outside it is written here once. Each stepped block
+        # sums its weights into a 0-d array, which the division takes faster
+        # than a float.
         self._scores = np.empty(self.dim)  # next_strategy's work buffer
         ends = np.cumsum(self.dims).tolist()
         stepped = [i for i, rate in enumerate(self.rates) if rate > 0.0] or [0, len(self.dims) - 1]
@@ -111,10 +125,11 @@ class OptimisticHedge:
             if self._span.start < end <= self._span.stop:
                 self._blocks.append((self._scores[where], np.empty(())))
             else:
-                self._scores[where] = uniform_strategy(dim)
+                np.divide(prior[where], np.add.reduce(prior[where]), self._scores[where])
         self._cum_span = self.cum[self._span]
         self._scores_span = self._scores[self._span]
         self._rate_span = np.repeat(self.rates, self.dims)[self._span]
+        self._counts_span = None if counts is None else prior[self._span]
 
     def next_strategy(self) -> np.ndarray:
         return self._step().copy()
@@ -140,6 +155,8 @@ class OptimisticHedge:
             scores *= live
         else:
             np.exp(scores, out=scores)
+        if self._counts_span is not None:
+            scores *= self._counts_span
         for block, total in self._blocks:
             np.divide(block, np.add.reduce(block, out=total), block)
         return self._scores
@@ -177,12 +194,13 @@ class AveragedHedge:
     inner.last. The reconstruction is written in place into one buffer,
     which is enough because the inner step reads inner.last before the next
     round writes it.
-    It takes dims and rates as OptimisticHedge does, so one learner holds
-    every player.
+    It takes dims, rates and counts as OptimisticHedge does, so one learner
+    holds every player. The strategy next_strategy() returns is read-only:
+    it is the learner's own until the next update.
     """
 
-    def __init__(self, dims, rates):
-        self.inner = OptimisticHedge(dims, rates)
+    def __init__(self, dims, rates, counts=None):
+        self.inner = OptimisticHedge(dims, rates, counts)
         self.dims = self.inner.dims
         self.dim = self.inner.dim
         self.round = 1
@@ -197,6 +215,7 @@ class AveragedHedge:
             inner = self.inner._step()
             _kahan_add(self._iter_sum, self._iter_comp, inner, *self._kahan_work)
             self._pending = self._iter_sum / self.round
+            self._pending.setflags(write=False)
         return self._pending
 
     def observe(self, utilities) -> None:

@@ -2,9 +2,10 @@
 
 Usage, from the root of a source checkout:
 
-    PYTHONPATH=src python3 tests/golden/regenerate.py
+    PYTHONPATH=src python3 tests/golden/regenerate.py [--check]
 
-rewrites digests.json. Each call runs in-process in an empty directory that
+rewrites digests.json; with --check it rewrites nothing, prints the argv of
+each run whose digest differs from digests.json, and exits 1 if any does. Each call runs in-process in an empty directory that
 holds a copy of signed_zero.txt; its digest is the SHA-256 of its argv, exit
 code, stdout and every file it writes. The bits rest on numpy's and the
 BLAS's summation order, so digests.json also records the numpy and BLAS
@@ -79,14 +80,26 @@ def run_digest(argv: str, workdir: Path) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def main() -> int:
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        return 2
     digests = {}
     for argv in load_runs():
         with tempfile.TemporaryDirectory() as tmp:
             digests[argv] = run_digest(argv, Path(tmp))
+    if check:
+        recorded = json.loads(DIGESTS.read_text())["runs"]
+        changed = [argv for argv, digest in digests.items() if recorded.get(argv) != digest]
+        for argv in changed:
+            print(argv)
+        print(f"{len(changed)} of {len(digests)} digests differ", file=sys.stderr)
+        return 1 if changed else 0
     DIGESTS.write_text(json.dumps({**versions(), "runs": digests}, indent=1) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

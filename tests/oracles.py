@@ -1,6 +1,7 @@
 """Independent references the tests check hedgelab against: a recording
 match loop, the Nash gap, the closed-form adversarial trajectory, a
-finite-difference gradient check, and the bounds in native coordinates."""
+finite-difference gradient check, and the bounds in native coordinates;
+and a matrix file with repeated rows and columns."""
 
 from __future__ import annotations
 
@@ -22,6 +23,18 @@ from hedgelab.errors import DimensionMismatchError
 from hedgelab.learners import bottom, top
 from hedgelab.optim import _eval_posy
 from hedgelab.rates import bound_tables
+
+
+# A matrix file whose duplicated rows and columns differ in the sign of
+# their zeros: rows 0 and 2 are one class, rows 1 and 4 another, and
+# columns 0 and 2 are one class.
+SIGNED_DUPLICATES = """5 4
+0.5 -0.0 0.5 0.25
+-0.5 0.0 -0.5 1
+0.5 0.0 0.5 0.25
+0.0 -0.0 0.0 -0.75
+-0.5 -0.0 -0.5 1
+"""
 
 
 def matrix(m: int, n: int, entries) -> PayoffMatrix:

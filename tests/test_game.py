@@ -17,7 +17,7 @@ from hedgelab.errors import (
     TooFewActionsError,
 )
 
-from oracles import matrix, record_match
+from oracles import SIGNED_DUPLICATES, matrix, record_match
 
 
 def test_payoff_matrix_errors():
@@ -44,6 +44,63 @@ def test_adversarial_matrix_layout():
 
     b = adversarial_matrix(3, 2, 0.5)
     assert np.array_equal(b.entries, [[0.0, 0.5], [-0.5, 0.0], [-0.5, 0.0]])
+
+
+def classes_by_search(a):
+    """Row classes of `a` by comparing every pair of rows: each class's
+    first member and size, classes in order of first member."""
+    first, counts = [], []
+    for i, row in enumerate(a):
+        for k, j in enumerate(first):
+            if np.array_equal(a[j], row):
+                counts[k] += 1
+                break
+        else:
+            first.append(i)
+            counts.append(1)
+    return first, counts
+
+
+def class_lists(payoffs):
+    return [(c.first.tolist(), c.counts.tolist()) for c in payoffs.classes]
+
+
+def test_classes_of_duplicated_rows_and_columns(tmp_path):
+    path = tmp_path / "dups.txt"
+    path.write_text(SIGNED_DUPLICATES)
+    a = load_matrix_file(path)
+    # +0.0 and -0.0 are one value: rows 0 and 2 are one class, and so are
+    # columns 0 and 2
+    assert class_lists(a) == [([0, 1, 3], [2, 2, 1]), ([0, 1, 3], [2, 1, 1])]
+    q, counts = a.quotient()
+    assert np.array_equal(q.entries, a.entries[np.ix_([0, 1, 3], [0, 1, 3])])
+    assert counts.tolist() == [2, 2, 1, 2, 1, 1]
+    for c in a.classes:
+        assert not (c.first.flags.writeable or c.counts.flags.writeable)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (6, 5), (40, 30), (2, 300)])
+def test_classes_equal_a_pairwise_search(shape):
+    # few distinct values, so random games repeat rows and columns
+    rng = np.random.default_rng(sum(shape))
+    entries = rng.choice([-0.5, -0.0, 0.0, 0.5], size=shape)
+    entries[rng.integers(shape[0])] = entries[0]
+    a = PayoffMatrix(entries)
+    assert class_lists(a) == [classes_by_search(a.entries), classes_by_search(a.entries.T)]
+
+
+def test_quotient_of_a_game_with_distinct_actions_is_the_game():
+    a = PayoffMatrix(np.random.default_rng(2).uniform(-1.0, 1.0, (4, 6)))
+    q, counts = a.quotient()
+    assert q is a and counts is None
+    assert class_lists(a) == [(list(range(4)), [1] * 4), (list(range(6)), [1] * 6)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 5), (7, 3), (30, 2)])
+def test_adversarial_matrix_hands_over_its_classes(m, n):
+    a = adversarial_matrix(m, n, 0.3)
+    assert class_lists(a) == class_lists(PayoffMatrix(a.entries))
+    assert a.quotient()[0].entries.tolist() == [[0.0, 0.3], [-0.3, 0.0]]
 
 
 def test_adversarial_matrix_errors():

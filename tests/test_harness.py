@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hedgelab import OptimisticHedge, adversarial_matrix, harness
+from hedgelab import OptimisticHedge, PayoffMatrix, adversarial_matrix, harness
 from hedgelab.analysis import RegretMeter
 from hedgelab.errors import ConfigError, InvalidGammaError
 from hedgelab.harness import (
@@ -260,12 +260,34 @@ def test_run_experiment_memory_does_not_grow_with_horizon(tmp_path):
 
 
 def test_run_metered_matches_recorded_trace():
-    a = adversarial_matrix(3, 5, 0.8)
+    # a game with no two equal rows or columns is played as it is, to the
+    # bit; tests/test_quotient.py covers games played as their quotient
+    a = PayoffMatrix(np.random.default_rng(35).uniform(-1.0, 1.0, (3, 5)))
     rp = RateParams(0.4, 0.2, 0.5, 0.5)
     row, _ = run_metered(a, "hedge", rp, 60)
     trace = record_match(a, OptimisticHedge((3, 5), (0.4, 0.2)), 60)
     assert trace.row == row
     assert row["t"] == 60
+
+
+@pytest.mark.parametrize(
+    "algorithm, cadence, message",
+    [
+        ("bogus", 1, "algorithm must be one of hedge, averaged, got 'bogus'"),
+        ("Hedge", 1, "algorithm must be one of hedge, averaged, got 'Hedge'"),
+        ("hedge", 0, "cadence must be >= 1, got 0"),
+        ("averaged", -1, "cadence must be >= 1, got -1"),
+        ("hedge", 2.0, "cadence must be an integer, got 2.0"),
+    ],
+)
+def test_run_metered_rejects_before_play(monkeypatch, algorithm, cadence, message):
+    played = []
+    monkeypatch.setattr(harness, "play_match", lambda *args: played.append(args))
+    rows = []
+    rp = RateParams(0.4, 0.2, 0.5, 0.5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_metered(adversarial_matrix(2, 3, 1.0), algorithm, rp, 10, rows.append, cadence)
+    assert played == [] and rows == []
 
 
 def test_run_metered_zero_rounds_writes_its_t0_row():

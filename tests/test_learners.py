@@ -435,3 +435,76 @@ def test_averaged_late_start_has_no_false_range_error(seed):
         ybar = ((t - 1) * ybar + y) / t
         learner.observe(a @ ybar)
         assert np.abs(learner.inner.last - a @ y).max() <= 1e-7
+
+
+def test_averaged_strategy_is_read_only():
+    # the averaged strategy is the learner's own until the next update, so
+    # a caller's write must fail rather than change the next call's answer
+    learner = AveragedHedge(3, 0.5)
+    z = learner.next_strategy()
+    with pytest.raises(ValueError):
+        z[:] = 5.0
+    assert np.array_equal(learner.next_strategy(), np.full(3, 1.0 / 3.0))
+
+
+def expand(v, counts):
+    """Each entry of v repeated counts[i] times."""
+    return np.repeat(v, np.asarray(counts, dtype=int))
+
+
+@pytest.mark.parametrize("cls", [OptimisticHedge, AveragedHedge])
+def test_counts_play_the_mass_of_identical_entries(cls):
+    # an entry with count k plays what k identical entries of a learner
+    # without counts play together
+    counts, rng = [3, 1, 2], np.random.default_rng(4)
+    grouped, full = cls(3, 0.7, counts), cls(6, 0.7)
+    for _ in range(30):
+        z = grouped.next_strategy()
+        w = full.next_strategy()
+        assert np.allclose(z, np.add.reduceat(w, [0, 3, 4]), rtol=1e-14, atol=0.0)
+        u = rng.uniform(-1.0, 1.0, 3)
+        grouped.observe(u)
+        full.observe(expand(u, counts))
+
+
+def test_counts_of_ones_keep_the_bits():
+    rng = np.random.default_rng(6)
+    plain, ones = OptimisticHedge((3, 4), (0.5, 0.0)), OptimisticHedge((3, 4), (0.5, 0.0), [1] * 7)
+    for _ in range(20):
+        assert np.array_equal(plain.next_strategy(), ones.next_strategy())
+        u = rng.uniform(-1.0, 1.0, 7)
+        plain.observe(u)
+        ones.observe(u)
+
+
+def test_rate_0_blocks_play_counts_over_their_sum():
+    # one block outside the stepped span, written once, and one inside it
+    counts = [1, 2, 5, 1, 3, 1, 2, 1]
+    learner = OptimisticHedge((3, 2, 3), (0.0, 0.5, 0.0), counts)
+    inside = OptimisticHedge((2, 3, 3), (0.5, 0.0, 0.5), counts)
+    for _ in range(3):
+        z = learner.next_strategy()
+        assert np.array_equal(z[:3], np.array([1, 2, 5]) / 8.0)
+        assert np.array_equal(z[5:], np.array([1, 2, 1]) / 4.0)
+        assert np.array_equal(inside.next_strategy()[2:5], np.array([5, 1, 3]) / 9.0)
+        learner.observe(np.linspace(-1.0, 1.0, 8))
+        inside.observe(np.linspace(-1.0, 1.0, 8))
+
+
+def test_floor_stays_per_entry_with_counts():
+    # a large count does not lift an entry below the floor off exactly 0
+    learner = OptimisticHedge(3, 1.0, [1, 1e6, 2])
+    learner.cum[:] = [0.0, EXP_FLOOR - 1.0, -1.0]
+    x = learner.next_strategy()
+    weights = np.array([1.0, 0.0, 2.0 * np.exp(-1.0)])
+    assert x[1] == 0.0
+    assert np.allclose(x, weights / weights.sum(), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("counts", [[1, 2], [1, 0.5, 1], [1, np.nan, 1], [1, np.inf, 1], [0, 1, 1]])
+def test_counts_validation(counts):
+    error = DimensionMismatchError if len(counts) != 3 else ValueError
+    with pytest.raises(error):
+        OptimisticHedge(3, 0.5, counts)
+    with pytest.raises(error):
+        AveragedHedge(3, 0.5, counts)
