@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import require_count, require_real
+from .errors import DimensionMismatchError, require_count, require_real
 from .game import PayoffMatrix
 from .learners import top
 
@@ -22,11 +22,21 @@ class RegretMeter:
     observer. Argmax bookkeeping runs on cumulative vectors, so nothing
     per-round is retained, not even for worst_scaled_pair_gap, the max over
     rounds of t * (round-t pair's gap).
+
+    Handed `cum`, an array of shape (m + n,), the meter reads that running
+    sum and never writes it: the caller adds each round's u before update,
+    as play_match does with an OptimisticHedge's cum. Otherwise it keeps
+    its own sum (an AveragedHedge sums reconstructed utilities, not u).
     """
 
-    def __init__(self, payoffs: PayoffMatrix):
-        self.m = payoffs.m
-        self.cum = np.zeros(payoffs.m + payoffs.n)
+    def __init__(self, payoffs: PayoffMatrix, cum: np.ndarray | None = None):
+        self.m, dim = payoffs.m, payoffs.m + payoffs.n
+        self._adds = cum is None
+        if self._adds:
+            cum = np.zeros(dim)
+        elif np.shape(cum) != (dim,):
+            raise DimensionMismatchError(f"expected a sum of shape ({dim},), got {np.shape(cum)}")
+        self.cum = cum
         self.played_x = 0.0
         self.played_y = 0.0
         self.dreg_x = 0.0
@@ -39,7 +49,8 @@ class RegretMeter:
         """Count round t from z = (x, y) and u = (A y, -A^T x)."""
         m = self.m
         x, y, ux, uy = z[:m], z[m:], u[:m], u[m:]
-        self.cum += u
+        if self._adds:
+            self.cum += u
         px, py = float(x.dot(ux)), float(y.dot(uy))
         self.played_x += px
         self.played_y += py

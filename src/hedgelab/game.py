@@ -143,8 +143,18 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
     one state, as OptimisticHedge((m, n), rates) does. Each round it commits
     z = (x, y); each player then counts its own block of u = (A y, -A^T x),
     the gain vector and the negated loss vector, so one learner update serves
-    both roles. `observer` is called with (t, z, u) before the players update;
-    nothing else of a round is kept.
+    both roles. `observer` is called with (t, z, u) after the players have
+    counted u; nothing else of a round is kept. z is a fresh array each
+    round. u is one of two buffers the engine owns and fills on alternate
+    rounds, so it is rewritten two rounds later: an observer copies what it
+    keeps of u.
+
+    -A^T x is computed as (-A)^T x by the same gemv kernel, from one negated
+    copy of A that the match holds while it plays (one extra m x n array).
+    Negation is exact and rounding symmetric, so each nonzero entry has the
+    bits of -(A^T x); only a zero entry's sign may differ, which no sum,
+    score or metric tells apart: every running sum starts at +0.0 and so
+    never becomes -0.0 (see learners.top).
 
     The players count u through their unchecked `_update`, not `observe`,
     because u cannot fail the range check: each entry is a row of A, whose
@@ -152,24 +162,24 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
     to 1 up to rounding, so it lies within rounding of [-1, 1]; and u is
     finite, because PayoffMatrix rejects non-finite entries and the Hedge
     step raises NonFiniteWeightError on a non-finite score. The check could
-    only fire falsely, once n * eps nears UTILITY_SLACK. u is a fresh array
-    each round, so the players may keep it.
+    only fire falsely, once n * eps nears UTILITY_SLACK. A learner keeps u
+    as `last` until its next step has read it, which comes before the
+    engine rewrites that buffer.
     """
     require_count("horizon", horizon, 0)
     m, n = payoffs.m, payoffs.n
     if players.dims != (m, n):
         raise DimensionMismatchError(f"player dims {players.dims} do not match a {m}x{n} game")
     a = payoffs.entries
-    at = a.T
+    neg_at = np.negative(a).T
+    buffers = [(u, u[:m], u[m:]) for u in (np.empty(m + n), np.empty(m + n))]
     for t in range(1, horizon + 1):
         z = players.next_strategy()
-        u = np.empty(m + n)
-        u_y = u[m:]
-        a.dot(z[m:], out=u[:m])
-        at.dot(z[:m], out=u_y)
-        np.negative(u_y, u_y)
-        observer(t, z, u)
+        u, u_x, u_y = buffers[t & 1]
+        a.dot(z[m:], out=u_x)
+        neg_at.dot(z[:m], out=u_y)
         players._update(u)
+        observer(t, z, u)
 
 
 def load_matrix_file(path) -> PayoffMatrix:

@@ -12,6 +12,7 @@ import csv
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 
 from .analysis import (
@@ -26,6 +27,11 @@ from .optim import BoundInputs, minimize, warn_unconverged
 from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theoretical_upper
 
 METRIC_COLUMNS = ("t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap")
+# A metric row as one CSV line: the bytes csv.writer writes for the row's
+# _fmt fields, since t is an int, the rest are floats, and no field needs
+# quoting.
+_METRIC_LINE = "%d" + ",%.15e" * (len(METRIC_COLUMNS) - 1) + "\r\n"
+_metric_values = itemgetter(*METRIC_COLUMNS)
 SUMMARY_COLUMNS = (
     "preset",
     "target_metric",
@@ -190,6 +196,10 @@ def run_metered(
     plays the mass its actions would, and every metric reads the same
     values, to rounding, as on the full game; the meter returned is then
     the quotient's. Any other game is played as it is.
+
+    The plain dynamic's meter reads the learner's running sum of u, which
+    play_match updates before it calls the observer; the averaged learner
+    sums reconstructed utilities, so its meter keeps its own.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
@@ -197,7 +207,7 @@ def run_metered(
     payoffs, counts = payoffs.quotient()
     learner = AveragedHedge if algorithm == "averaged" else OptimisticHedge
     players = learner((payoffs.m, payoffs.n), (rp.eta_x, rp.eta_y), counts)
-    meter = RegretMeter(payoffs)
+    meter = RegretMeter(payoffs, None if algorithm == "averaged" else players.cum)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
 
     def observer(t, z, u):
@@ -226,13 +236,19 @@ def _fmt(value) -> str:
 @contextmanager
 def csv_writer(path, columns):
     """Create `path` (and its directory), write the header, and yield a
-    function that writes one row dict in column order."""
+    function that writes one row dict in column order. Rows of
+    METRIC_COLUMNS, one per round at cadence 1, are written as _METRIC_LINE,
+    the same bytes in one format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        yield lambda row: writer.writerow([_fmt(row[c]) for c in columns])
+        if columns == METRIC_COLUMNS:
+            write = fh.write
+            yield lambda row: write(_METRIC_LINE % _metric_values(row))
+        else:
+            yield lambda row: writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def write_csv(path, columns, rows) -> None:

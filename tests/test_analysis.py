@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from hedgelab import (
+    PRESETS,
     AveragedHedge,
     OptimisticHedge,
+    PayoffMatrix,
     RegretMeter,
     adversarial_matrix,
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
     matching_pennies,
     play_match,
+    preset_rates,
 )
 from hedgelab.errors import DimensionMismatchError
 from hedgelab.harness import run_metered
@@ -98,6 +101,49 @@ def test_snapshot_rows():
     assert meter.snapshot("last_pair")["nash_gap"] != row["nash_gap"]
     with pytest.raises(ValueError):
         meter.snapshot("nearest_pair")
+
+
+def test_meter_rejects_a_running_sum_of_the_wrong_shape():
+    a = adversarial_matrix(3, 4, 1.0)
+    for shape in ((6,), (8,), (7, 1), (1, 7), ()):
+        with pytest.raises(DimensionMismatchError):
+            RegretMeter(a, np.zeros(shape))
+    cum = np.zeros(7)
+    assert RegretMeter(a, cum).cum is cum
+
+
+def row_bytes(row):
+    return {key: np.float64(value).tobytes() for key, value in row.items()}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 3), (2, 10000)], ids=["2x2", "7x3", "2x10000"])
+def test_meter_reading_the_learners_sum_equals_a_meter_keeping_its_own(shape):
+    # play_match calls the observer after the players have counted u, so the
+    # plain learner's cum already holds round t and its last is u; a meter
+    # handed that cum reads, every round, the bytes of a meter summing u.
+    payoffs = PayoffMatrix(np.random.default_rng(2222).uniform(-1.0, 1.0, shape))
+    for preset in PRESETS:
+        rp = preset_rates(preset, *shape)
+        players = OptimisticHedge(shape, (rp.eta_x, rp.eta_y))
+        shared, own = RegretMeter(payoffs, players.cum), RegretMeter(payoffs)
+        before = players.cum.copy()
+        seen = []
+
+        def observer(t, z, u):
+            assert players.last is u
+            assert players.cum.tobytes() == (before + u).tobytes()
+            before[:] = players.cum
+            if seen:  # z is fresh; last round's u is rewritten only next round
+                last_z, last_u, kept = seen[-1]
+                assert not np.shares_memory(z, last_z) and last_u.tobytes() == kept
+            seen.append((z, u, u.tobytes()))
+            for meter in (shared, own):
+                meter.update(t, z, u)
+            for mode in ("averaged_pair", "last_pair"):
+                assert row_bytes(shared.snapshot(mode)) == row_bytes(own.snapshot(mode))
+
+        play_match(payoffs, players, 200, observer)
+        assert len(seen) == 200 and shared.cum is players.cum, preset
 
 
 def test_snapshot_matches_reference_formulas():

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import tracemalloc
 
@@ -202,6 +203,52 @@ def test_metrics_cadence(tmp_path):
     run_experiment(cfg)
     rows = read_csv(tmp_path / "metrics_U-Social.csv")
     assert [r[0] for r in rows[1:]] == ["7", "14", "21", "28", "35", "40"]
+
+
+# Zeros of both signs, the least subnormal, the least normal, the largest
+# finite float and values whose shortest repr takes up to 17 significant
+# digits.
+EDGE_FLOATS = (
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    0.1,
+    1.0 / 3.0,
+    -2.0 / 3.0,
+    1.0000000000000002,
+    9.999999999999998e-05,
+    -1.2345678901234567e-300,
+)
+
+
+def test_metric_line_writes_the_bytes_of_csv_writer(tmp_path):
+    # Metric rows take one format line, the rest csv.writer over _fmt; both
+    # must give the same bytes. The line holds one field per column, and the
+    # row's values are read in METRIC_COLUMNS order whatever the dict's.
+    n = len(METRIC_COLUMNS)
+    assert harness._METRIC_LINE.count("%") == n
+    assert harness._metric_values(dict(zip(reversed(METRIC_COLUMNS), range(n)))) == tuple(
+        reversed(range(n))
+    )
+    rows = []
+    for t in (0, 1, 10**9):
+        for i in range(len(EDGE_FLOATS)):
+            values = [EDGE_FLOATS[(i + k) % len(EDGE_FLOATS)] for k in range(n - 1)]
+            rows.append(dict(zip(reversed(METRIC_COLUMNS), [*values, t])))
+    path = tmp_path / "metrics.csv"
+    with harness.csv_writer(path, METRIC_COLUMNS) as write_row:
+        for row in rows:
+            write_row(row)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(METRIC_COLUMNS)
+    for row in rows:
+        writer.writerow([harness._fmt(row[c]) for c in METRIC_COLUMNS])
+    assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_run_experiment_snapshots_once_per_row(tmp_path, monkeypatch):

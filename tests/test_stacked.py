@@ -94,7 +94,7 @@ def row_bytes(row):
 
 def games():
     rng = np.random.default_rng(1313)
-    for m, n in ((2, 2), (7, 3), (10, 10), (2, 10000)):
+    for m, n in ((2, 2), (7, 3), (10, 10), (2, 10000), (100, 100)):
         yield f"adversarial-{m}x{n}", adversarial_matrix(m, n, 1.0)
         yield f"random-{m}x{n}", PayoffMatrix(rng.uniform(-1.0, 1.0, (m, n)))
         # a zero column, a row of -0.0 and rounded entries that cancel exactly
