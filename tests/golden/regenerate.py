@@ -6,7 +6,7 @@ Usage, from the root of a source checkout:
 
 rewrites digests.json; with --check it rewrites nothing, prints the argv of
 each run whose digest differs from digests.json, and exits 1 if any does. Each call runs in-process in an empty directory that
-holds a copy of signed_zero.txt; its digest is the SHA-256 of its argv, exit
+holds a copy of signed_zero.txt and random_10x10.txt; its digest is the SHA-256 of its argv, exit
 code, stdout and every file it writes. The bits rest on numpy's and the
 BLAS's summation order, so digests.json also records the numpy and BLAS
 versions it was made with. A change that alters outputs on purpose reruns
@@ -33,7 +33,7 @@ from hedgelab.cli import main as cli_main
 HERE = Path(__file__).resolve().parent
 RUNS = HERE / "runs.txt"
 DIGESTS = HERE / "digests.json"
-INPUTS = (HERE / "signed_zero.txt",)
+INPUTS = (HERE / "signed_zero.txt", HERE / "random_10x10.txt")
 
 
 def load_runs() -> list:
