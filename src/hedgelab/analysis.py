@@ -12,6 +12,26 @@ from .game import PayoffMatrix
 from .learners import top
 
 
+# The columns of a metric row, in CSV order.
+METRIC_COLUMNS = ("t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap")
+
+
+def _wide(v: np.ndarray) -> bool:
+    """Whether the rows of a block are read one at a time. Row-wise calls
+    pay per column: np.add.accumulate down axis 0 about 25 ns a column, and
+    argmax(axis=1) copies a strided block first. A loop pays about 0.8 us
+    a row. So rows over 32 times as long as the block is deep go one by
+    one; the values have the same bits either way."""
+    return v.shape[1] > 32 * v.shape[0]
+
+
+def _row_tops(v: np.ndarray) -> np.ndarray:
+    """learners.top of each row of a 2-d array, the first largest entry."""
+    if _wide(v):
+        return np.array([top(row) for row in v])
+    return v[np.arange(len(v)), v.argmax(axis=1)]
+
+
 class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
@@ -19,14 +39,16 @@ class RegretMeter:
     -A^T x) as play_match hands them over: cum is their running sum, the
     same sum the learners keep, and a player's regret is its best fixed
     action's total minus what it earned. Its update method is a play_match
-    observer. Argmax bookkeeping runs on cumulative vectors, so nothing
-    per-round is retained, not even for worst_scaled_pair_gap, the max over
-    rounds of t * (round-t pair's gap).
+    observer, which counts a block of rounds at a time. Argmax bookkeeping
+    runs on cumulative vectors, so nothing per-round is retained, not even
+    for worst_scaled_pair_gap, the max over rounds of t * (round-t pair's
+    gap).
 
     Handed `cum`, an array of shape (m + n,), the meter reads that running
     sum and never writes it: the caller adds each round's u before update,
     as play_match does with an OptimisticHedge's cum. Otherwise it keeps
-    its own sum (an AveragedHedge sums reconstructed utilities, not u).
+    its own sum (an AveragedHedge sums reconstructed utilities, not u), and
+    only then can update return metric rows of rounds inside a block.
     """
 
     def __init__(self, payoffs: PayoffMatrix, cum: np.ndarray | None = None):
@@ -45,24 +67,76 @@ class RegretMeter:
         self.last_pair_gap = 0.0
         self.worst_scaled_pair_gap = -math.inf
 
-    def update(self, t, z, u):
-        """Count round t from z = (x, y) and u = (A y, -A^T x)."""
-        m = self.m
-        x, y, ux, uy = z[:m], z[m:], u[:m], u[m:]
-        if self._adds:
-            self.cum += u
-        px, py = float(x.dot(ux)), float(y.dot(uy))
-        self.played_x += px
-        self.played_y += py
-        bx, by = top(ux), top(uy)
-        self.dreg_x += bx - px
-        self.dreg_y += by - py
-        self.last_pair_gap = bx + by
-        self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, t * self.last_pair_gap)
+    def update(self, t, z, u, due=range(0), gap_mode="averaged_pair") -> list:
+        """Count rounds t - j + 1 .. t from the j rows of z = (x, y) and
+        u = (A y, -A^T x), one round per row, and return the metric rows of
+        the rounds at the offsets `due` (a range) into the block, as
+        snapshot(gap_mode) would have read them after each of those rounds.
+
+        Each value has the bits of counting the rounds one by one: a row's
+        played utility is a stacked np.matmul of two vectors, which is the
+        ddot that ndarray.dot runs; a best response is the row's first
+        argmax; and every running sum is sequential, by np.add.accumulate
+        from the total so far or, for wide rows, one += a row.
+        """
+        if len(due) and not self._adds:
+            raise ValueError("rows inside a block need a meter that keeps its own sum")
+        if gap_mode not in ("averaged_pair", "last_pair"):
+            raise ValueError(f"unknown gap_mode {gap_mode!r}")
+        m, j = self.m, len(z)
+        # Column 0 holds the totals so far, so accumulating along each row
+        # adds the block's rounds to them one at a time.
+        acc = np.empty((4, j + 1))
+        acc[:, 0] = self.played_x, self.played_y, self.dreg_x, self.dreg_y
+        px, py, dx, dy = acc[:, 1:]
+        ux, uy = u[:, :m], u[:, m:]
+        np.matmul(z[:, None, :m], ux[:, :, None], out=px[:, None, None])
+        np.matmul(z[:, None, m:], uy[:, :, None], out=py[:, None, None])
+        bx, by = _row_tops(ux), _row_tops(uy)
+        np.subtract(bx, px, out=dx)
+        np.subtract(by, py, out=dy)
+        np.add.accumulate(acc, axis=1, out=acc)
+        self.played_x, self.played_y, self.dreg_x, self.dreg_y = acc[:, j].tolist()
+        gap = bx + by
+        self.last_pair_gap = gap.item(j - 1)
+        ts = np.arange(t - j + 1, t + 1)
+        self.worst_scaled_pair_gap = max(self.worst_scaled_pair_gap, top(gap * ts))
         self.rounds = t
+        if not self._adds:
+            return []
+        best_x, best_y = self._add(u, due)
+        if not len(due):
+            return []
+        due = slice(due.start, due.stop, due.step)
+        rx, ry, ts = best_x - px[due], best_y - py[due], ts[due]
+        nash = (best_x + best_y) / ts if gap_mode == "averaged_pair" else gap[due]
+        # np.where(ry > rx, ry, rx) keeps rx on a tie, as max(rx, ry) does.
+        columns = (ts, rx, ry, rx + ry, np.where(ry > rx, ry, rx), dx[due], dy[due], nash)
+        columns = [c.tolist() for c in columns]
+        return [dict(zip(METRIC_COLUMNS, row)) for row in zip(*columns)]
+
+    def _add(self, u, due):
+        """Add the rows of u to cum in order, as sequential += does, and
+        return the best fixed actions' totals (x, y) after each round at an
+        offset in `due`."""
+        m = self.m
+        if _wide(u):
+            best = []
+            for i, row in enumerate(u):
+                self.cum += row
+                if i in due:
+                    best.append((top(self.cum[:m]), top(self.cum[m:])))
+            return np.array(best).reshape(-1, 2).T
+        sums = np.empty(u.shape)
+        np.add(self.cum, u[0], out=sums[0])
+        sums[1:] = u[1:]
+        np.add.accumulate(sums, axis=0, out=sums)
+        self.cum[:] = sums[-1]
+        best = sums[due.start : due.stop : due.step]
+        return _row_tops(best[:, :m]), _row_tops(best[:, m:])
 
     def snapshot(self, gap_mode: str = "averaged_pair") -> dict:
-        """Metric row (harness.METRIC_COLUMNS) at the current round, all 0
+        """Metric row (METRIC_COLUMNS) at the current round, all 0
         before the first. reg_x / reg_y compare against the best fixed action
         in hindsight, dreg_x / dreg_y against each round's best action, so
         dreg >= reg; gap_mode picks the pair nash_gap describes, the

@@ -16,6 +16,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .analysis import (
+    METRIC_COLUMNS,
     RegretMeter,
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
@@ -26,7 +27,6 @@ from .learners import AveragedHedge, OptimisticHedge
 from .optim import BoundInputs, minimize, warn_unconverged
 from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theoretical_upper
 
-METRIC_COLUMNS = ("t", "reg_x", "reg_y", "social", "max_ind", "dreg_x", "dreg_y", "nash_gap")
 # A metric row as one CSV line: the bytes csv.writer writes for the row's
 # _fmt fields, since t is an int, the rest are floats, and no field needs
 # quoting.
@@ -126,8 +126,9 @@ CONFIG_KEYS = tuple(_FIELD_OF)
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment, blank lines are skipped."""
-    raw = Path(path).read_text()
+    """Flat key=value file in UTF-8, with or without a byte-order mark; '#'
+    starts a comment, blank lines are skipped."""
+    raw = Path(path).read_text(encoding="utf-8-sig")
     values = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -160,12 +161,17 @@ def _parse(key: str, text: str):
 
 def build_config(values: dict) -> ExperimentConfig:
     """Checked config from raw string values (file contents and/or CLI flags);
-    a key not given keeps its ExperimentConfig default."""
+    a key not given keeps its ExperimentConfig default. m and n are
+    rejected for an instance whose size they do not set."""
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {_FIELD_OF[key].name: _parse(key, text) for key, text in values.items()}
-    return ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**kwargs)
+    unused = [key for key in ("m", "n") if key in values]
+    if unused and cfg.instance != "adversarial":
+        raise ConfigError(f"instance={cfg.instance} takes its size from the game, not {unused[0]}")
+    return cfg
 
 
 def instance_matrix(cfg: ExperimentConfig) -> PayoffMatrix:
@@ -182,12 +188,13 @@ def run_metered(
     """One match under live metering; returns (final metric row, meter).
 
     The final row is taken once, after the match. With write_row, a row
-    taken every `cadence` rounds before the last goes to write_row at once,
-    and the final row follows it; without it, or with no row due before the
-    last round (cadence >= horizon), the meter alone observes. No row is
-    kept, so memory is O(m + n) at any horizon. The nash_gap column
-    describes the time-averaged pair for the plain dynamic and the played
-    (already averaged) pair for the averaged dynamic.
+    due every `cadence` rounds before the last goes to write_row as the
+    block holding its round is metered, and the final row follows them;
+    without it, or with no row due before the last round
+    (cadence >= horizon), the meter alone observes. No row is kept, so
+    memory is O(m + n) beyond play_match's block at any horizon. The
+    nash_gap column describes the time-averaged pair for the plain dynamic
+    and the played (already averaged) pair for the averaged dynamic.
 
     A game with two equal rows or two equal columns is played as its
     quotient (PayoffMatrix.quotient), one action per class of identical
@@ -197,9 +204,10 @@ def run_metered(
     values, to rounding, as on the full game; the meter returned is then
     the quotient's. Any other game is played as it is.
 
-    The plain dynamic's meter reads the learner's running sum of u, which
-    play_match updates before it calls the observer; the averaged learner
-    sums reconstructed utilities, so its meter keeps its own.
+    With no rows due, the plain dynamic's meter reads the learner's running
+    sum of u, which play_match updates before it calls the observer. The
+    averaged learner sums reconstructed utilities, and a row inside a block
+    needs the sum at its own round, so otherwise the meter keeps its own.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
@@ -207,15 +215,18 @@ def run_metered(
     payoffs, counts = payoffs.quotient()
     learner = AveragedHedge if algorithm == "averaged" else OptimisticHedge
     players = learner((payoffs.m, payoffs.n), (rp.eta_x, rp.eta_y), counts)
-    meter = RegretMeter(payoffs, None if algorithm == "averaged" else players.cum)
+    rows_due = write_row and cadence < horizon
+    shared = None if rows_due or algorithm == "averaged" else players.cum
+    meter = RegretMeter(payoffs, shared)
     gap_mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
 
     def observer(t, z, u):
-        meter.update(t, z, u)
-        if t % cadence == 0 and t < horizon:
-            write_row(meter.snapshot(gap_mode))
+        # offsets into the block of its rounds t - j + 1 .. t that are due
+        first = t - len(z) + 1
+        due = range(-first % cadence, min(t + 1, horizon) - first, cadence)
+        for row in meter.update(t, z, u, due, gap_mode):
+            write_row(row)
 
-    rows_due = write_row and cadence < horizon
     play_match(payoffs, players, horizon, observer if rows_due else meter.update)
     final = meter.snapshot(gap_mode)
     if write_row:

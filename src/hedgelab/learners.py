@@ -131,8 +131,13 @@ class OptimisticHedge:
         self._rate_span = np.repeat(self.rates, self.dims)[self._span]
         self._counts_span = None if counts is None else prior[self._span]
 
-    def next_strategy(self) -> np.ndarray:
-        return self._step().copy()
+    def next_strategy(self, out=None) -> np.ndarray:
+        """The next strategy: a fresh array, or written into `out`, which
+        is returned."""
+        if out is None:
+            return self._step().copy()
+        np.copyto(out, self._step())
+        return out
 
     def _step(self) -> np.ndarray:
         """One Hedge step; returns the work buffer, which the next step
@@ -196,7 +201,9 @@ class AveragedHedge:
     round writes it.
     It takes dims, rates and counts as OptimisticHedge does, so one learner
     holds every player. The strategy next_strategy() returns is read-only:
-    it is the learner's own until the next update.
+    it is the learner's own until the next update. next_strategy(out) writes
+    it into `out` instead and returns out, which then holds the round's
+    strategy until the next update.
     """
 
     def __init__(self, dims, rates, counts=None):
@@ -210,13 +217,16 @@ class AveragedHedge:
         self._recon = np.empty(self.dim)
         self._pending: np.ndarray | None = None
 
-    def next_strategy(self) -> np.ndarray:
+    def next_strategy(self, out=None) -> np.ndarray:
         if self._pending is None:
             inner = self.inner._step()
             _kahan_add(self._iter_sum, self._iter_comp, inner, *self._kahan_work)
-            self._pending = self._iter_sum / self.round
-            self._pending.setflags(write=False)
-        return self._pending
+            self._pending = np.divide(self._iter_sum, self.round, out=out)
+            if out is None:
+                self._pending.setflags(write=False)
+        elif out is not None:
+            np.copyto(out, self._pending)
+        return self._pending if out is None else out
 
     def observe(self, utilities) -> None:
         if self._pending is None:

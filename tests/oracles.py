@@ -59,19 +59,31 @@ class MatchTrace:
         return self.x.shape[0]
 
 
+def each_round(observer):
+    """A play_match observer that hands `observer` a block's rounds one by
+    one, as (t, z, u) with z and u that round's rows."""
+
+    def block(t, z, u):
+        for s, (z_s, u_s) in enumerate(zip(z, u), start=t - len(z) + 1):
+            observer(s, z_s, u_s)
+
+    return block
+
+
 def record_match(payoffs: PayoffMatrix, players, horizon: int) -> MatchTrace:
-    """play_match with a recording observer that also meters the match."""
+    """play_match with a recording observer that also meters the match,
+    one round (a block of one) at a time."""
     m, rows = payoffs.m, max(horizon, 0)
     xs, gs = np.empty((rows, m)), np.empty((rows, m))
     ys, ls = np.empty((rows, payoffs.n)), np.empty((rows, payoffs.n))
     meter = RegretMeter(payoffs)
 
     def record(t, z, u):
-        meter.update(t, z, u)
+        meter.update(t, z[None], u[None])
         xs[t - 1], ys[t - 1], gs[t - 1] = z[:m], z[m:], u[:m]
         np.negative(u[m:], out=ls[t - 1])
 
-    play_match(payoffs, players, horizon, record)
+    play_match(payoffs, players, horizon, each_round(record))
     return MatchTrace(payoffs, xs, ys, gs, ls, meter.snapshot())
 
 

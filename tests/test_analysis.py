@@ -16,11 +16,13 @@ from hedgelab import (
     play_match,
     preset_rates,
 )
+from hedgelab.analysis import _row_tops
 from hedgelab.errors import DimensionMismatchError
 from hedgelab.harness import run_metered
+from hedgelab.learners import top
 from hedgelab.rates import RateParams
 
-from oracles import adversarial_top_prob, matrix, nash_gap, record_match
+from oracles import adversarial_top_prob, each_round, matrix, nash_gap, record_match
 
 
 def hedge_match(m, n, eta_x, eta_y, delta, horizon):
@@ -66,9 +68,9 @@ def test_worst_scaled_pair_gap_is_max_over_recorded_rounds():
     trace = record_match(a, AveragedHedge((6, 9), (0.4, 0.3)), 300)
     meter = RegretMeter(a)
     assert meter.worst_scaled_pair_gap == -math.inf
-    for i in range(trace.horizon):
-        z = np.concatenate((trace.x[i], trace.y[i]))
-        meter.update(i + 1, z, np.concatenate((trace.gains[i], -trace.losses[i])))
+    # every recorded round as one block
+    z = np.concatenate((trace.x, trace.y), axis=1)
+    meter.update(trace.horizon, z, np.concatenate((trace.gains, -trace.losses), axis=1))
     expected = max(
         (i + 1) * (float(trace.gains[i].max()) - float(trace.losses[i].min()))
         for i in range(trace.horizon)
@@ -116,11 +118,65 @@ def row_bytes(row):
     return {key: np.float64(value).tobytes() for key, value in row.items()}
 
 
+def signed_rows(size, rows=6):
+    """Random rows in [-1, 1] with +0.0 and -0.0 entries, two rows whose
+    largest entries are tied zeros of either sign, and a row of equal
+    entries."""
+    v = np.random.default_rng(size).uniform(-1.0, 1.0, (rows, size))
+    v[:, ::3] = 0.0
+    v[:, 1::3] = -0.0
+    v[1:3] = -np.abs(v[1:3])
+    v[1, 3::3] = 0.0  # -0.0 comes first among the tied zeros
+    v[2, 0] = 0.0  # +0.0 comes first
+    v[3] = 0.25
+    return v
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("size", [4, 20, 200, 10002])
+def test_row_wise_calls_have_the_bits_of_the_one_dimensional_calls(size):
+    # RegretMeter.update counts a block of rounds with these row-wise calls;
+    # each must give, row by row, the bits of the call it replaces.
+    a, b = signed_rows(size), signed_rows(size + 1)[:, 1:]
+    cut = size // 2
+    # stacked matmul of two vectors is ndarray.dot, on whole rows and on
+    # the two halves a row of z or u splits into
+    for x, y in ((a, b), (a[:, :cut], b[:, :cut]), (a[:, cut:], b[:, cut:])):
+        rows = np.empty(len(x))
+        np.matmul(x[:, None, :], y[:, :, None], out=rows[:, None, None])
+        assert bits(rows) == bits([float(xi.dot(yi)) for xi, yi in zip(x, y)])
+    # argmax(axis=1) with take_along_axis is learners.top, signed zeros kept
+    for v in (a, a[:, cut:], -a):
+        assert bits(_row_tops(v)) == bits([top(row) for row in v])
+    # np.add.accumulate along a row, and along axis 0, is sequential +=
+    for row in a:
+        total, want = 0.25, []
+        for value in row.tolist():
+            total += value
+            want.append(total)
+        assert bits(np.add.accumulate(np.concatenate(([0.25], row)))[1:]) == bits(want)
+    sums = np.concatenate((b[:1], a))
+    np.add.accumulate(sums, axis=0, out=sums)
+    cum = b[0].copy()
+    for i, row in enumerate(a, start=1):
+        cum += row
+        assert bits(sums[i]) == bits(cum)
+    # np.where(y > x, y, x) is max(x, y): x wins a tie, whatever its sign
+    x, y = a.ravel(), np.concatenate((b.ravel()[: size * 2], a.ravel()[size * 2 :]))
+    x[:4], y[:4] = (0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, 0.0, -0.0)
+    want = [max(xi, yi) for xi, yi in zip(x.tolist(), y.tolist())]
+    assert bits(np.where(y > x, y, x)) == bits(want)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (7, 3), (2, 10000)], ids=["2x2", "7x3", "2x10000"])
 def test_meter_reading_the_learners_sum_equals_a_meter_keeping_its_own(shape):
-    # play_match calls the observer after the players have counted u, so the
-    # plain learner's cum already holds round t and its last is u; a meter
-    # handed that cum reads, every round, the bytes of a meter summing u.
+    # play_match calls the observer after the players have counted the
+    # block's rounds, so the plain learner's cum already holds round t and
+    # its last is the block's last u; a meter handed that cum reads, every
+    # block, the bytes of a meter summing u.
     payoffs = PayoffMatrix(np.random.default_rng(2222).uniform(-1.0, 1.0, shape))
     for preset in PRESETS:
         rp = preset_rates(preset, *shape)
@@ -130,20 +186,22 @@ def test_meter_reading_the_learners_sum_equals_a_meter_keeping_its_own(shape):
         seen = []
 
         def observer(t, z, u):
-            assert players.last is u
-            assert players.cum.tobytes() == (before + u).tobytes()
-            before[:] = players.cum
-            if seen:  # z is fresh; last round's u is rewritten only next round
-                last_z, last_u, kept = seen[-1]
-                assert not np.shares_memory(z, last_z) and last_u.tobytes() == kept
-            seen.append((z, u, u.tobytes()))
+            assert players.last.tobytes() == u[-1].tobytes() and np.shares_memory(players.last, u)
+            for row in u:
+                before[:] += row
+            assert players.cum.tobytes() == before.tobytes()
+            if seen:  # the rows are the engine's own, rewritten block after block
+                last_t, last_z, last_u = seen[-1]
+                assert np.shares_memory(z, last_z) and np.shares_memory(u, last_u)
+                assert t - len(z) == last_t
+            seen.append((t, z, u))
             for meter in (shared, own):
                 meter.update(t, z, u)
             for mode in ("averaged_pair", "last_pair"):
                 assert row_bytes(shared.snapshot(mode)) == row_bytes(own.snapshot(mode))
 
         play_match(payoffs, players, 200, observer)
-        assert len(seen) == 200 and shared.cum is players.cum, preset
+        assert seen[-1][0] == 200 and shared.cum is players.cum, preset
 
 
 def test_snapshot_matches_reference_formulas():
@@ -175,7 +233,7 @@ def test_snapshot_matches_reference_formulas():
 
     def observer(t, z, u):
         nonlocal cum_gain, cum_loss, gain_total, loss_total, dreg_x, dreg_y, last_pair_gap
-        meter.update(t, z, u)
+        meter.update(t, z[None], u[None])
         x, y, g, loss = z[:5], z[5:], u[:5], -u[5:]
         cum_gain += g
         cum_loss += loss
@@ -190,7 +248,7 @@ def test_snapshot_matches_reference_formulas():
             check(t)
             checked.append(t)
 
-    play_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 37, observer)
+    play_match(a, OptimisticHedge((5, 4), (0.5, 0.3)), 37, each_round(observer))
     assert checked == [0, 1, 37]
 
 

@@ -13,6 +13,8 @@ from hedgelab.analysis import RegretMeter
 from hedgelab.cli import _add_config_flags, _gather_config, main
 from hedgelab.harness import CONFIG_KEYS, ExperimentConfig, build_config, load_config_file
 
+RANDOM_10X10 = str(Path(__file__).parent / "golden" / "random_10x10.txt")
+
 
 def test_rates_prints_preset_table(capsys):
     assert main(["rates", "U-Social", "--m", "2", "--n", "2"]) == 0
@@ -90,10 +92,23 @@ def test_simulate_config_error(tmp_path, capsys):
     assert err == "error: line 2: key 'T' given twice\n"
     assert not out.exists()
 
+    config.write_text("instance=matching_pennies\nn=4\n")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: instance=matching_pennies takes its size from the game, not n\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "flag",
-    [["--m", "abc"], ["--cadence", "0"], ["--algo", "bogus"], ["--preset", "U-Social,U-Social"]],
+    [
+        ["--m", "abc"],
+        ["--cadence", "0"],
+        ["--algo", "bogus"],
+        ["--preset", "U-Social,U-Social"],
+        ["--instance", "matching_pennies", "--m", "9", "--n", "9"],
+        ["--instance", "file", "--matrix-file", RANDOM_10X10, "--m", "5"],
+    ],
 )
 def test_simulate_bad_flag_is_one_line_error(flag, tmp_path, capsys):
     assert main(["simulate", *flag, "--out", str(tmp_path)]) == 2
@@ -104,23 +119,31 @@ def test_simulate_bad_flag_is_one_line_error(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("cadence", [8, 7])
 def test_simulate_snapshots_once_per_metric_row(cadence, tmp_path, monkeypatch):
-    # rows every cadence rounds before T, then the final row once, whether
-    # or not the cadence divides T
-    calls = []
-    snapshot = RegretMeter.snapshot
+    # rows every cadence rounds before T, each made once by the meter's
+    # update of the block holding its round, then the final row by one
+    # snapshot, whether or not the cadence divides T
+    calls, snapshots = [], []
+    snapshot, update = RegretMeter.snapshot, RegretMeter.update
 
     def counting_snapshot(self, *args, **kwargs):
         calls.append(self.rounds)
+        snapshots.append(self.rounds)
         return snapshot(self, *args, **kwargs)
 
+    def counting_update(self, *args, **kwargs):
+        rows = update(self, *args, **kwargs)
+        calls.extend(row["t"] for row in rows)
+        return rows
+
     monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
+    monkeypatch.setattr(RegretMeter, "update", counting_update)
     argv = ["simulate", "--m", "2", "--n", "6", "--T", "80", "--cadence", str(cadence)]
     assert main([*argv, "--preset", "U-Social,A-X-only", "--out", str(tmp_path)]) == 0
     written = []
     for preset in ("U-Social", "A-X-only"):
         with open(tmp_path / f"metrics_{preset}.csv", newline="") as fh:
             written += [int(row[0]) for row in list(csv.reader(fh))[1:]]
-    assert calls == written
+    assert calls == written and snapshots == [80, 80]
     assert written[-1] == 80 and len(written) == 2 * -(-80 // cadence)
 
 

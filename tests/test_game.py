@@ -17,7 +17,7 @@ from hedgelab.errors import (
     TooFewActionsError,
 )
 
-from oracles import SIGNED_DUPLICATES, matrix, record_match
+from oracles import SIGNED_DUPLICATES, each_round, matrix, record_match
 
 
 def test_payoff_matrix_errors():
@@ -119,7 +119,7 @@ def first_feedback(payoffs):
     players play uniform."""
     seen = []
     players = OptimisticHedge((payoffs.m, payoffs.n), (0.5, 0.5))
-    play_match(payoffs, players, 1, lambda t, z, u: seen.append(u.copy()))
+    play_match(payoffs, players, 1, each_round(lambda t, z, u: seen.append(u.copy())))
     (u,) = seen
     return u[: payoffs.m], -u[payoffs.m :]
 
@@ -198,7 +198,10 @@ def test_play_match_observer_and_memory_mode():
     a = adversarial_matrix(2, 2, 1.0)
     seen = []
     out = play_match(
-        a, OptimisticHedge((2, 2), (0.5, 0.5)), 5, observer=lambda t, z, u: seen.append(t)
+        a,
+        OptimisticHedge((2, 2), (0.5, 0.5)),
+        5,
+        observer=each_round(lambda t, z, u: seen.append(t)),
     )
     assert out is None
     assert seen == [1, 2, 3, 4, 5]
@@ -238,6 +241,17 @@ def test_load_matrix_file_rejects_malformed(tmp_path, content):
     path.write_text(content)
     with pytest.raises(MatrixFormatError):
         load_matrix_file(path)
+
+
+def test_load_matrix_file_skips_a_byte_order_mark(tmp_path):
+    text = "# game\n2 3\n0.5 -1 0\n1 0.25 -0.75\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = load_matrix_file(plain).entries
+    assert load_matrix_file(marked).entries.tobytes() == want.tobytes()
+    marked.write_bytes(b"\xef\xbb\xbf" + text.split("\n", 1)[1].encode())  # mark before the header
+    assert load_matrix_file(marked).entries.tobytes() == want.tobytes()
 
 
 def test_load_matrix_file_rejects_out_of_range(tmp_path):

@@ -62,6 +62,9 @@ def test_build_config_defaults():
         {"instance": "file"},
         {"instance": "adversarial", "m": "1"},
         {"presets": "U-Social,A-Social,U-Social"},
+        {"instance": "matching_pennies", "m": "9"},
+        {"instance": "matching_pennies", "n": "2"},
+        {"instance": "file", "matrix_file": "game.txt", "m": "5"},
     ],
 )
 def test_build_config_rejects(values):
@@ -147,6 +150,14 @@ def test_load_config_file(tmp_path):
     path.write_text("T=5\n# later\nT = 7\n")
     with pytest.raises(ConfigError, match="line 3: key 'T' given twice"):
         load_config_file(path)
+
+
+def test_load_config_file_skips_a_byte_order_mark(tmp_path):
+    text = "T=3\nm=2\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config_file(marked) == load_config_file(plain) == {"T": "3", "m": "2"}
 
 
 def test_instance_matrix_variants(tmp_path):
@@ -252,19 +263,28 @@ def test_metric_line_writes_the_bytes_of_csv_writer(tmp_path):
 
 
 def test_run_experiment_snapshots_once_per_row(tmp_path, monkeypatch):
-    calls = []
-    snapshot = RegretMeter.snapshot
+    # rows before T come from the meter's block updates, the final row from
+    # one snapshot
+    calls, snapshots = [], []
+    snapshot, update = RegretMeter.snapshot, RegretMeter.update
 
     def counting_snapshot(self, *args, **kwargs):
         calls.append(self.rounds)
+        snapshots.append(self.rounds)
         return snapshot(self, *args, **kwargs)
 
+    def counting_update(self, *args, **kwargs):
+        rows = update(self, *args, **kwargs)
+        calls.extend(row["t"] for row in rows)
+        return rows
+
     monkeypatch.setattr(RegretMeter, "snapshot", counting_snapshot)
+    monkeypatch.setattr(RegretMeter, "update", counting_update)
     cfg = ExperimentConfig(
         m=2, n=4, horizon=40, presets=("U-Social", "A-Social"), out_dir=str(tmp_path), cadence=7
     )
     run_experiment(cfg)
-    assert calls == [7, 14, 21, 28, 35, 40] * 2
+    assert calls == [7, 14, 21, 28, 35, 40] * 2 and snapshots == [40, 40]
 
 
 @pytest.mark.parametrize("algorithm", ["hedge", "averaged"])

@@ -234,7 +234,7 @@ class PlainExpHedge(OptimisticHedge):
 
     below_floor = False
 
-    def next_strategy(self):
+    def next_strategy(self, out=None):
         strategies = []
         cuts = np.cumsum(self.dims)[:-1]
         for cum, last, rate in zip(np.split(self.cum, cuts), np.split(self.last, cuts), self.rates):
@@ -243,7 +243,7 @@ class PlainExpHedge(OptimisticHedge):
             self.below_floor |= bool(scores.min() < EXP_FLOOR)
             np.exp(scores, out=scores)
             strategies.append(scores / scores.sum())
-        return np.concatenate(strategies)
+        return np.concatenate(strategies, out=out)
 
 
 @pytest.mark.parametrize("instance", ["adversarial", "uniform"])

@@ -27,7 +27,7 @@ from hedgelab import (
 from hedgelab.harness import run_metered
 from hedgelab.rates import RateParams
 
-from oracles import SIGNED_DUPLICATES
+from oracles import SIGNED_DUPLICATES, each_round
 
 LEARNERS = {"hedge": OptimisticHedge, "averaged": AveragedHedge}
 FLOORS = {"hedge": external_regret_lower_bound, "averaged": dynamic_regret_lower_bound}
@@ -120,5 +120,5 @@ def test_full_engine_keeps_identical_actions_bit_identical(m, n, algorithm):
                 split.append(t)
 
     for rates in {(rp.eta_x, rp.eta_y) for rp in (preset_rates(p, m, n) for p in PRESETS)}:
-        play_match(payoffs, LEARNERS[algorithm]((m, n), rates), 300, observer)
+        play_match(payoffs, LEARNERS[algorithm]((m, n), rates), 300, each_round(observer))
     assert split == []

@@ -1,7 +1,7 @@
 """The stacked engine against a reference loop of two single-player learners.
 
 play_match plays both players as the blocks of one learner and meters them
-with one RegretMeter update per round. The reference below drives one
+with one RegretMeter update per block of rounds. The reference below drives one
 learner per player, feeds each its own feedback vector, and meters with the
 per-player sums written inline, the way the acceptance check C8 drives the
 averaged learners. Every round and the final metric row must be equal bit
@@ -23,6 +23,8 @@ from hedgelab import (
     preset_rates,
 )
 from hedgelab.learners import UTILITY_SLACK, top
+
+from oracles import each_round
 
 ALGORITHMS = {"hedge": OptimisticHedge, "averaged": AveragedHedge}
 # Rates well above the presets' push weights below the floor within 300 rounds.
@@ -78,11 +80,15 @@ def stacked_match(payoffs, cls, rates, horizon):
     players = cls((m, payoffs.n), rates)
     rounds = []
 
-    def observer(t, z, u):
+    @each_round
+    def record(t, z, u):
         rounds.append((z[:m].copy(), z[m:].copy(), u[:m].copy(), -u[m:]))
+
+    def block(t, z, u):
+        record(t, z, u)
         meter.update(t, z, u)
 
-    play_match(payoffs, players, horizon, observer)
+    play_match(payoffs, players, horizon, block)
     return rounds, meter, players
 
 
