@@ -32,6 +32,24 @@ def _row_tops(v: np.ndarray) -> np.ndarray:
     return v[np.arange(len(v)), v.argmax(axis=1)]
 
 
+def _check_gap_mode(gap_mode: str) -> None:
+    if gap_mode not in ("averaged_pair", "last_pair"):
+        raise ValueError(f"unknown gap_mode {gap_mode!r}")
+
+
+def _metric_rows(gap_mode, ts, best_x, best_y, played_x, played_y, dreg_x, dreg_y, pair_gap):
+    """Metric rows (dicts keyed by METRIC_COLUMNS) of the rounds ts, from
+    columns of equal length; nash_gap is the averaged pair's (best_x +
+    best_y) / t, 0 at t = 0, or with gap_mode "last_pair" the round pair's."""
+    _check_gap_mode(gap_mode)
+    rx, ry = best_x - played_x, best_y - played_y
+    if gap_mode == "averaged_pair":
+        pair_gap = np.divide(best_x + best_y, ts, out=np.zeros(len(ts)), where=ts > 0)
+    # np.where(ry > rx, ry, rx) keeps rx on a tie, as max(rx, ry) does.
+    columns = (ts, rx, ry, rx + ry, np.where(ry > rx, ry, rx), dreg_x, dreg_y, pair_gap)
+    return [dict(zip(METRIC_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
+
+
 class RegretMeter:
     """Single-pass accumulator of every regret metric; O(m + n) state.
 
@@ -81,8 +99,7 @@ class RegretMeter:
         """
         if len(due) and not self._adds:
             raise ValueError("rows inside a block need a meter that keeps its own sum")
-        if gap_mode not in ("averaged_pair", "last_pair"):
-            raise ValueError(f"unknown gap_mode {gap_mode!r}")
+        _check_gap_mode(gap_mode)
         m, j = self.m, len(z)
         # Column 0 holds the totals so far, so accumulating along each row
         # adds the block's rounds to them one at a time.
@@ -108,12 +125,8 @@ class RegretMeter:
         if not len(due):
             return []
         due = slice(due.start, due.stop, due.step)
-        rx, ry, ts = best_x - px[due], best_y - py[due], ts[due]
-        nash = (best_x + best_y) / ts if gap_mode == "averaged_pair" else gap[due]
-        # np.where(ry > rx, ry, rx) keeps rx on a tie, as max(rx, ry) does.
-        columns = (ts, rx, ry, rx + ry, np.where(ry > rx, ry, rx), dx[due], dy[due], nash)
-        columns = [c.tolist() for c in columns]
-        return [dict(zip(METRIC_COLUMNS, row)) for row in zip(*columns)]
+        columns = (px[due], py[due], dx[due], dy[due], gap[due])
+        return _metric_rows(gap_mode, ts[due], best_x, best_y, *columns)
 
     def _add(self, u, due):
         """Add the rows of u to cum in order, as sequential += does, and
@@ -141,25 +154,9 @@ class RegretMeter:
         in hindsight, dreg_x / dreg_y against each round's best action, so
         dreg >= reg; gap_mode picks the pair nash_gap describes, the
         time-averaged one ("averaged_pair") or this round's ("last_pair")."""
-        best_x, best_y = top(self.cum[: self.m]), top(self.cum[self.m :])
-        if gap_mode == "averaged_pair":
-            gap = (best_x + best_y) / self.rounds if self.rounds else 0.0
-        elif gap_mode == "last_pair":
-            gap = self.last_pair_gap
-        else:
-            raise ValueError(f"unknown gap_mode {gap_mode!r}")
-        rx = best_x - self.played_x
-        ry = best_y - self.played_y
-        return {
-            "t": self.rounds,
-            "reg_x": rx,
-            "reg_y": ry,
-            "social": rx + ry,
-            "max_ind": max(rx, ry),
-            "dreg_x": self.dreg_x,
-            "dreg_y": self.dreg_y,
-            "nash_gap": gap,
-        }
+        totals = (top(self.cum[: self.m]), top(self.cum[self.m :]), self.played_x, self.played_y)
+        columns = np.array([*totals, self.dreg_x, self.dreg_y, self.last_pair_gap])[:, None]
+        return _metric_rows(gap_mode, np.array([self.rounds]), *columns)[0]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", help=f"one of {', '.join(ALGORITHMS)}")
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
-        "--cadence", help="simulate: one metric row per k rounds; verify: every round"
+        "--cadence", help="simulate: one metric row per k rounds; verify ignores it"
     )
 
 

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one rule for the
-numbers it takes: counts are integers, reals are real numbers, and a bool
-is neither."""
+"""Exception types shared across the package, and the one rule for each
+kind of input it takes: counts are integers, reals are real numbers, and a
+bool is neither; its text files are read line by line by content_lines."""
 
 import numbers
+from pathlib import Path
 
 
 class DimensionMismatchError(ValueError):
@@ -63,3 +64,13 @@ def require_real(key: str, value, interval: str, error=ValueError) -> None:
     below = value < hi if interval[-1] == ")" else value <= hi
     if not (above and below):
         raise error(f"{key} must lie in {interval}, got {value}")
+
+
+def content_lines(path):
+    """(line number, stripped text) of each line of a UTF-8 text file, with
+    or without a byte-order mark, after its '#' comment; blank lines are skipped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import (
     InvalidDeltaError,
     MatrixFormatError,
     TooFewActionsError,
+    content_lines,
     require_count,
     require_real,
 )
@@ -204,19 +204,9 @@ def play_match(payoffs: PayoffMatrix, players, horizon: int, observer: Observer)
 
 
 def load_matrix_file(path) -> PayoffMatrix:
-    """Read a matrix file: a 'm n' header line, then m rows of n reals.
-
-    Blank lines and lines starting with '#' are skipped; '#' also starts a
-    trailing comment on any line. The file is UTF-8, with or without a
-    byte-order mark.
-    """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rows.append((lineno, line.split()))
+    """Read a matrix file: a 'm n' header line, then m rows of n reals,
+    by errors.content_lines (UTF-8, '#' comments, blank lines skipped)."""
+    rows = [(lineno, line.split()) for lineno, line in content_lines(path)]
     if not rows:
         raise MatrixFormatError("matrix file has no content")
     header_line, header = rows[0]

@@ -21,7 +21,7 @@ from .analysis import (
     dynamic_regret_lower_bound,
     external_regret_lower_bound,
 )
-from .errors import ConfigError, InvalidGammaError, require_count, require_real
+from .errors import ConfigError, InvalidGammaError, content_lines, require_count, require_real
 from .game import PayoffMatrix, adversarial_matrix, load_matrix_file, matching_pennies, play_match
 from .learners import AveragedHedge, OptimisticHedge
 from .optim import BoundInputs, minimize, warn_unconverged
@@ -33,17 +33,7 @@ from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theore
 _METRIC_LINE = "%d" + ",%.15e" * (len(METRIC_COLUMNS) - 1) + "\r\n"
 _metric_values = itemgetter(*METRIC_COLUMNS)
 SUMMARY_COLUMNS = (
-    "preset",
-    "target_metric",
-    "measured_target",
-    "theoretical_upper",
-    "reg_x",
-    "reg_y",
-    "social",
-    "max_ind",
-    "dreg_x",
-    "dreg_y",
-    "nash_gap",
+    "preset", "target_metric", "measured_target", "theoretical_upper", *METRIC_COLUMNS[1:]
 )
 SWEEP_COLUMNS = (
     "objective",
@@ -123,17 +113,15 @@ class ExperimentConfig:
 _KEY_OF = {"horizon": "T", "matrix_path": "matrix_file", "algorithm": "algo", "out_dir": "out"}
 _FIELD_OF = {_KEY_OF.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 CONFIG_KEYS = tuple(_FIELD_OF)
+# The config keys that only one instance reads, and that instance.
+_INSTANCE_OF = dict(m="adversarial", n="adversarial", delta="adversarial", matrix_file="file")
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value file in UTF-8, with or without a byte-order mark; '#'
-    starts a comment, blank lines are skipped."""
-    raw = Path(path).read_text(encoding="utf-8-sig")
+    """Flat key=value file, read by errors.content_lines (UTF-8, '#'
+    comments, blank lines skipped)."""
     values = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(path):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value")
         key, _, value = line.partition("=")
@@ -161,16 +149,17 @@ def _parse(key: str, text: str):
 
 def build_config(values: dict) -> ExperimentConfig:
     """Checked config from raw string values (file contents and/or CLI flags);
-    a key not given keeps its ExperimentConfig default. m and n are
-    rejected for an instance whose size they do not set."""
+    a key not given keeps its ExperimentConfig default. A key that only
+    another instance reads (_INSTANCE_OF) is rejected."""
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {_FIELD_OF[key].name: _parse(key, text) for key, text in values.items()}
     cfg = ExperimentConfig(**kwargs)
-    unused = [key for key in ("m", "n") if key in values]
-    if unused and cfg.instance != "adversarial":
-        raise ConfigError(f"instance={cfg.instance} takes its size from the game, not {unused[0]}")
+    for key, instance in _INSTANCE_OF.items():
+        if key in values and instance != cfg.instance:
+            why = "takes its size from the game, not" if key in ("m", "n") else "takes no"
+            raise ConfigError(f"instance={cfg.instance} {why} {key}")
     return cfg
 
 

@@ -16,7 +16,7 @@ from hedgelab import (
     play_match,
     preset_rates,
 )
-from hedgelab.analysis import _row_tops
+from hedgelab.analysis import _row_tops, _wide
 from hedgelab.errors import DimensionMismatchError
 from hedgelab.harness import run_metered
 from hedgelab.learners import top
@@ -202,6 +202,42 @@ def test_meter_reading_the_learners_sum_equals_a_meter_keeping_its_own(shape):
 
         play_match(payoffs, players, 200, observer)
         assert seen[-1][0] == 200 and shared.cum is players.cum, preset
+
+
+@pytest.mark.parametrize("cadence", [1, 7])
+@pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
+def test_rows_of_wide_blocks_equal_per_round_snapshots(monkeypatch, algorithm, cadence):
+    # A 2x1000 match is played in blocks of 30 rounds, whose rows are over
+    # 32 times as long as a block is deep, so the meter adds them to its own
+    # sum one by one; every row run_metered streams must have the bits of a
+    # snapshot of a meter fed the same match a round at a time.
+    shape, horizon = (2, 1000), 100
+    payoffs = PayoffMatrix(np.random.default_rng(1000).uniform(-1.0, 1.0, shape))
+    rp = preset_rates("A-Social", *shape)
+    wide, add = [], RegretMeter._add
+
+    def spy(meter, u, due):
+        wide.append(_wide(u))
+        return add(meter, u, due)
+
+    monkeypatch.setattr(RegretMeter, "_add", spy)
+    streamed = []
+    run_metered(payoffs, algorithm, rp, horizon, streamed.append, cadence)
+    monkeypatch.undo()
+    assert len(wide) == 4 and all(wide)  # blocks of 30, 30, 30 and 10 rounds
+
+    cls = AveragedHedge if algorithm == "averaged" else OptimisticHedge
+    mode = "last_pair" if algorithm == "averaged" else "averaged_pair"
+    meter, want = RegretMeter(payoffs), []
+
+    def observer(t, z, u):
+        meter.update(t, z[None], u[None])
+        if t % cadence == 0 or t == horizon:
+            want.append(meter.snapshot(mode))
+
+    play_match(payoffs, cls(shape, (rp.eta_x, rp.eta_y)), horizon, each_round(observer))
+    assert [row["t"] for row in streamed] == [row["t"] for row in want]
+    assert [row_bytes(row) for row in streamed] == [row_bytes(row) for row in want]
 
 
 def test_snapshot_matches_reference_formulas():

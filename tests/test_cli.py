@@ -98,6 +98,11 @@ def test_simulate_config_error(tmp_path, capsys):
     assert err == "error: instance=matching_pennies takes its size from the game, not n\n"
     assert not out.exists()
 
+    config.write_text(f"instance=file\nmatrix_file={RANDOM_10X10}\ndelta=0.3\n")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: instance=file takes no delta\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "flag",
@@ -108,6 +113,9 @@ def test_simulate_config_error(tmp_path, capsys):
         ["--preset", "U-Social,U-Social"],
         ["--instance", "matching_pennies", "--m", "9", "--n", "9"],
         ["--instance", "file", "--matrix-file", RANDOM_10X10, "--m", "5"],
+        ["--instance", "file", "--matrix-file", RANDOM_10X10, "--delta", "0.3"],
+        ["--instance", "matching_pennies", "--delta", "0.5"],
+        ["--m", "2", "--n", "3", "--matrix-file", RANDOM_10X10],
     ],
 )
 def test_simulate_bad_flag_is_one_line_error(flag, tmp_path, capsys):
@@ -147,7 +155,8 @@ def test_simulate_snapshots_once_per_metric_row(cadence, tmp_path, monkeypatch):
     assert written[-1] == 80 and len(written) == 2 * -(-80 // cadence)
 
 
-# one value per config key, none of them its default
+# one value per config key, none of them its default; a key that one
+# instance alone reads is given with that instance (SAMPLE_INSTANCE)
 CONFIG_SAMPLES = {
     "m": "3",
     "n": "5",
@@ -160,6 +169,7 @@ CONFIG_SAMPLES = {
     "out": "runs",
     "cadence": "7",
 }
+SAMPLE_INSTANCE = {"matrix_file": "file"}
 
 
 def test_config_flag_and_file_values_parse_alike(tmp_path):
@@ -168,10 +178,14 @@ def test_config_flag_and_file_values_parse_alike(tmp_path):
     flag_of = {action.dest: action.option_strings[0] for action in parser._actions}
     assert set(CONFIG_SAMPLES) == set(CONFIG_KEYS)
     for key, text in CONFIG_SAMPLES.items():
+        given = {key: text}
+        if key in SAMPLE_INSTANCE:
+            given["instance"] = SAMPLE_INSTANCE[key]
         path = tmp_path / f"{key}.cfg"
-        path.write_text(f"{key}={text}\n")
+        path.write_text("".join(f"{k}={v}\n" for k, v in given.items()))
         from_file = build_config(load_config_file(path))
-        from_flag = build_config(_gather_config(parser.parse_args([flag_of[key], text])))
+        argv = [arg for k, v in given.items() for arg in (flag_of[k], v)]
+        from_flag = build_config(_gather_config(parser.parse_args(argv)))
         assert from_file == from_flag != ExperimentConfig(), key
 
 

@@ -65,6 +65,11 @@ def test_build_config_defaults():
         {"instance": "matching_pennies", "m": "9"},
         {"instance": "matching_pennies", "n": "2"},
         {"instance": "file", "matrix_file": "game.txt", "m": "5"},
+        {"instance": "file", "matrix_file": "game.txt", "delta": "0.3"},
+        {"instance": "matching_pennies", "delta": "0.5"},
+        {"matrix_file": "game.txt"},
+        {"m": "2", "n": "3", "matrix_file": "game.txt"},
+        {"instance": "matching_pennies", "matrix_file": "game.txt"},
     ],
 )
 def test_build_config_rejects(values):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hedgelab
-from hedgelab.analysis import RegretMeter
+from hedgelab.analysis import RegretMeter, _metric_rows
 from hedgelab.cli import _add_config_flags
 from hedgelab.game import play_match
 from hedgelab.harness import CONFIG_KEYS, run_metered
@@ -266,6 +266,7 @@ def test_slow_call_finder():
         _checked_utilities,
         RegretMeter.update,
         RegretMeter.snapshot,
+        _metric_rows,
         play_match,
         run_metered,
         OptimisticHedge._step,
