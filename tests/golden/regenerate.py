@@ -5,13 +5,14 @@ Usage, from the root of a source checkout:
     PYTHONPATH=src python3 tests/golden/regenerate.py [--check]
 
 rewrites digests.json; with --check it rewrites nothing, prints the argv of
-each run whose digest differs from digests.json, and exits 1 if any does. Each call runs in-process in an empty directory that
-holds a copy of signed_zero.txt and random_10x10.txt; its digest is the SHA-256 of its argv, exit
-code, stdout and every file it writes. The bits rest on numpy's and the
-BLAS's summation order, so digests.json also records the numpy and BLAS
-versions it was made with. A change that alters outputs on purpose reruns
-this script and says why in CHANGES.md; tests/test_golden.py checks the
-digests.
+each run whose digest differs from digests.json, and exits 1 if any does.
+Each call runs in-process in an empty directory that holds a copy of
+signed_zero.txt, random_10x10.txt and random_2x1000.txt; its digest is the
+SHA-256 of its argv, exit code, stdout and every file it writes. The bits
+rest on numpy's and the BLAS's summation order, so digests.json also
+records the numpy and BLAS versions it was made with. A change that alters
+outputs on purpose reruns this script and says why in CHANGES.md;
+tests/test_golden.py checks the digests.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from hedgelab.cli import main as cli_main
 HERE = Path(__file__).resolve().parent
 RUNS = HERE / "runs.txt"
 DIGESTS = HERE / "digests.json"
-INPUTS = (HERE / "signed_zero.txt", HERE / "random_10x10.txt")
+INPUTS = tuple(HERE / f for f in ("signed_zero.txt", "random_10x10.txt", "random_2x1000.txt"))
 
 
 def load_runs() -> list:
