@@ -8,7 +8,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
@@ -27,11 +26,11 @@ from .learners import AveragedHedge, OptimisticHedge
 from .optim import BoundInputs, minimize, warn_unconverged
 from .rates import PRESET_TARGETS, PRESETS, SOCIAL_PRESETS, preset_rates, theoretical_upper
 
-# A metric row as one CSV line: the bytes csv.writer writes for the row's
-# _fmt fields, since t is an int, the rest are floats, and no field needs
-# quoting.
-_METRIC_LINE = "%d" + ",%.15e" * (len(METRIC_COLUMNS) - 1) + "\r\n"
-_metric_values = itemgetter(*METRIC_COLUMNS)
+# The CSV line of each tuple of value types a row has held, built on first
+# use: text and bools by %s, ints by %d, every other number by %.15e. No
+# field is quoted: every string a row holds is empty or a package constant
+# (a name, label, relation or PASS/FAIL) with no comma, quote or newline.
+_LINES = {}
 SUMMARY_COLUMNS = (
     "preset", "target_metric", "measured_target", "theoretical_upper", *METRIC_COLUMNS[1:]
 )
@@ -60,11 +59,11 @@ ALGORITHMS = ("hedge", "averaged")
 class ExperimentConfig:
     """Settings of one simulate/verify run; a bad field raises ConfigError."""
 
-    m: int = 2
-    n: int = 100
+    m: int | None = None
+    n: int | None = None
     horizon: int = 2000
     instance: str = "adversarial"
-    delta: float = 1.0
+    delta: float | None = None
     matrix_path: str | None = None
     presets: tuple = PRESETS
     algorithm: str = "hedge"
@@ -72,12 +71,15 @@ class ExperimentConfig:
     cadence: int = 1
 
     def __post_init__(self):
-        # Each field has its default's type. The counts are >= 1 (verify's
-        # floors and the averaged dynamic's bound need at least one round),
-        # delta, the one real field, lies in (0, 1], and matrix_path may
-        # stay None.
+        # Each field has its default's type (_DEFAULT_OF's, for one that is
+        # None until given). The counts are >= 1 (verify's floors and the
+        # averaged dynamic's bound need at least one round), and delta, the
+        # one real field, lies in (0, 1].
         for f in fields(self):
-            key, value, kind = _KEY_OF.get(f.name, f.name), getattr(self, f.name), type(f.default)
+            key, value = _KEY_OF.get(f.name, f.name), getattr(self, f.name)
+            kind = type(_DEFAULT_OF.get(f.name, f.default))
+            if value is None and f.default is None:
+                continue
             if kind is int:
                 require_count(key, value, 1, ConfigError)
             elif kind is float:
@@ -85,7 +87,7 @@ class ExperimentConfig:
             elif kind is tuple:
                 if not (isinstance(value, tuple) and all(isinstance(p, str) for p in value)):
                     raise ConfigError(f"{key} must be a tuple of preset names, got {value!r}")
-            elif not (isinstance(value, str) or (value is None and f.default is None)):
+            elif not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
         for key, value, choices in (
             ("instance", self.instance, INSTANCES),
@@ -102,6 +104,13 @@ class ExperimentConfig:
                 raise ConfigError(f"preset {p!r} is named twice")
         if self.instance == "file" and not self.matrix_path:
             raise ConfigError("instance=file needs matrix_file")
+        # A field given for another instance is rejected; one not given is filled.
+        for name, instance in _INSTANCE_OF.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _DEFAULT_OF.get(name))
+            elif instance != self.instance:
+                why = "takes its size from the game, not" if name in ("m", "n") else "takes no"
+                raise ConfigError(f"instance={self.instance} {why} {_KEY_OF.get(name, name)}")
         if self.instance == "adversarial" and (self.m < 2 or self.n < 2):
             raise ConfigError(
                 f"adversarial instance needs m >= 2 and n >= 2, got ({self.m}, {self.n})"
@@ -113,8 +122,10 @@ class ExperimentConfig:
 _KEY_OF = {"horizon": "T", "matrix_path": "matrix_file", "algorithm": "algo", "out_dir": "out"}
 _FIELD_OF = {_KEY_OF.get(f.name, f.name): f for f in fields(ExperimentConfig)}
 CONFIG_KEYS = tuple(_FIELD_OF)
-# The config keys that only one instance reads, and that instance.
-_INSTANCE_OF = dict(m="adversarial", n="adversarial", delta="adversarial", matrix_file="file")
+# The fields that only one instance reads, and that instance; each is None
+# until given, and then takes its _DEFAULT_OF value (matrix_path stays None).
+_INSTANCE_OF = dict(m="adversarial", n="adversarial", delta="adversarial", matrix_path="file")
+_DEFAULT_OF = dict(m=2, n=100, delta=1.0)
 
 
 def load_config_file(path) -> dict:
@@ -135,10 +146,10 @@ def load_config_file(path) -> dict:
 
 
 def _parse(key: str, text: str):
-    """A config key's string value, typed as its ExperimentConfig default;
-    text that does not convert is handed on as is, for the number rule to
-    name."""
-    kind = type(_FIELD_OF[key].default)
+    """A config key's string value, typed as its ExperimentConfig default
+    (_DEFAULT_OF's, for a field that is None until given); text that does
+    not convert is handed on as is, for the number rule to name."""
+    kind = type(_DEFAULT_OF.get(_FIELD_OF[key].name, _FIELD_OF[key].default))
     if kind is tuple:
         return PRESETS if text == "all" else tuple(p.strip() for p in text.split(",") if p.strip())
     if kind in (int, float):
@@ -149,18 +160,12 @@ def _parse(key: str, text: str):
 
 def build_config(values: dict) -> ExperimentConfig:
     """Checked config from raw string values (file contents and/or CLI flags);
-    a key not given keeps its ExperimentConfig default. A key that only
-    another instance reads (_INSTANCE_OF) is rejected."""
+    a key not given keeps its ExperimentConfig default."""
     unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     kwargs = {_FIELD_OF[key].name: _parse(key, text) for key, text in values.items()}
-    cfg = ExperimentConfig(**kwargs)
-    for key, instance in _INSTANCE_OF.items():
-        if key in values and instance != cfg.instance:
-            why = "takes its size from the game, not" if key in ("m", "n") else "takes no"
-            raise ConfigError(f"instance={cfg.instance} {why} {key}")
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def instance_matrix(cfg: ExperimentConfig) -> PayoffMatrix:
@@ -223,32 +228,27 @@ def run_metered(
     return final, meter
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "PASS" if value else "FAIL"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".15e")
-
-
 @contextmanager
 def csv_writer(path, columns):
     """Create `path` (and its directory), write the header, and yield a
-    function that writes one row dict in column order. Rows of
-    METRIC_COLUMNS, one per round at cadence 1, are written as _METRIC_LINE,
-    the same bytes in one format."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    function that writes one row dict in column order, by the _LINES line of its value types."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    values = itemgetter(*columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        if columns == METRIC_COLUMNS:
-            write = fh.write
-            yield lambda row: write(_METRIC_LINE % _metric_values(row))
-        else:
-            yield lambda row: writer.writerow([_fmt(row[c]) for c in columns])
+        fh.write(",".join(columns) + "\r\n")
+
+        def write_row(row):
+            v = values(row)
+            kinds = tuple(map(type, v))
+            if kinds not in _LINES:
+                formats = (
+                    "%s" if issubclass(k, (str, bool)) else "%d" if issubclass(k, int) else "%.15e"
+                    for k in kinds
+                )
+                _LINES[kinds] = ",".join(formats) + "\r\n"
+            fh.write(_LINES[kinds] % v)
+
+        yield write_row
 
 
 def write_csv(path, columns, rows) -> None:
@@ -411,7 +411,7 @@ def verify_bounds(cfg: ExperimentConfig):
         for label, const in gaps:
             checks.append(CheckResult(f"gap[{label}]", preset, worst, const, "<=", worst <= const))
     out = Path(cfg.out_dir)
-    rows = [{**vars(c), "result": c.passed} for c in checks]
+    rows = [{**vars(c), "result": "PASS" if c.passed else "FAIL"} for c in checks]
     write_csv(out / "verify_report.csv", VERIFY_COLUMNS, rows)
     (out / "verify_report.txt").write_text("\n".join(c.line() for c in checks) + "\n")
     return checks

@@ -216,6 +216,35 @@ def test_sweep_gamma_cli(tmp_path, capsys):
         assert len(list(csv.reader(fh))) == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --m 3 --n 4 --T 20 --cadence 7 --out out",
+        "simulate --m 3 --n 4 --T 20 --cadence 7 --algo averaged --out out",
+        "verify --m 3 --n 4 --T 20 --out out",
+        "verify --m 3 --n 4 --T 20 --algo averaged --preset U-Social,A-Social --out out",
+        "sweep-gamma --m 3 --n 4 --out out/sweep.csv",
+    ],
+)
+def test_every_csv_line_is_its_fields_joined_by_commas(argv, tmp_path, monkeypatch, capsys):
+    # No field is quoted, so a label holding a comma, quote or line break
+    # would corrupt the file: csv.reader must read each line as split on
+    # commas, into one field per column.
+    monkeypatch.chdir(tmp_path)
+    main(argv.split())
+    paths = sorted((tmp_path / "out").glob("*.csv"))
+    assert paths
+    for path in paths:
+        text = path.read_bytes().decode()
+        assert '"' not in text
+        *lines, last = text.split("\r\n")
+        assert last == "" and len(lines) > 1
+        rows = [line.split(",") for line in lines]
+        assert {len(row) for row in rows} == {len(rows[0])}
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == rows
+
+
 def test_sweep_gamma_cli_bad_grid(capsys):
     assert main(["sweep-gamma", "--m", "2", "--n", "2", "--gamma-grid", "0.3,oops"]) == 2
     assert main(["sweep-gamma", "--m", "2", "--n", "2", "--gamma-grid", "0.5,1.0"]) == 2

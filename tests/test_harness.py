@@ -106,6 +106,14 @@ def test_build_config_rejects(values):
         {"presets": "U-Social"},
         {"presets": ["U-Social"]},
         {"presets": ("U-Social", 1)},
+        {"instance": "matching_pennies", "m": 9, "n": None},
+        {"instance": "matching_pennies", "m": None, "n": 2},
+        {"instance": "file", "matrix_path": "game.txt", "m": 5, "n": None},
+        {"instance": "file", "matrix_path": "game.txt", "m": None, "n": None, "delta": 0.3},
+        {"instance": "matching_pennies", "m": None, "n": None, "delta": 0.5},
+        {"matrix_path": "game.txt"},
+        {"m": 2, "n": 3, "matrix_path": "game.txt"},
+        {"instance": "matching_pennies", "m": None, "n": None, "matrix_path": "game.txt"},
     ],
 )
 def test_experiment_config_rejects(bad):
@@ -130,6 +138,19 @@ def test_experiment_config_type_messages_name_the_config_key(bad, message):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(**bad)
     assert str(err.value) == message
+
+
+def test_experiment_config_rejects_another_instances_field_as_the_flag_does():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(instance="matching_pennies", m=9)
+    assert str(err.value) == "instance=matching_pennies takes its size from the game, not m"
+
+
+def test_experiment_config_fills_the_fields_not_given():
+    for instance, path in (("adversarial", None), ("matching_pennies", None), ("file", "g.txt")):
+        cfg = ExperimentConfig(instance=instance, matrix_path=path)
+        assert (cfg.m, cfg.n, cfg.delta, cfg.matrix_path) == (2, 100, 1.0, path)
+    assert ExperimentConfig() == build_config({}) == ExperimentConfig(m=2, n=100, delta=1.0)
 
 
 def test_experiment_config_accepts_an_integer_delta_and_numpy_integers():
@@ -241,30 +262,41 @@ EDGE_FLOATS = (
 )
 
 
+def _reference_field(value) -> str:
+    # text and ints (bools among them) as str() writes them, every other
+    # number as %.15e of its float
+    return str(value) if isinstance(value, (str, int)) else format(float(value), ".15e")
+
+
 def test_metric_line_writes_the_bytes_of_csv_writer(tmp_path):
-    # Metric rows take one format line, the rest csv.writer over _fmt; both
-    # must give the same bytes. The line holds one field per column, and the
-    # row's values are read in METRIC_COLUMNS order whatever the dict's.
+    # csv_writer's one path writes the bytes csv.writer writes for the
+    # reference fields: metric rows of edge floats, read in column order
+    # whatever the dict's, and summary-like rows whose cells change type
+    # from row to row (text, empty, int, bool, numpy scalars).
     n = len(METRIC_COLUMNS)
-    assert harness._METRIC_LINE.count("%") == n
-    assert harness._metric_values(dict(zip(reversed(METRIC_COLUMNS), range(n)))) == tuple(
-        reversed(range(n))
-    )
-    rows = []
+    metric_rows = []
     for t in (0, 1, 10**9):
         for i in range(len(EDGE_FLOATS)):
             values = [EDGE_FLOATS[(i + k) % len(EDGE_FLOATS)] for k in range(n - 1)]
-            rows.append(dict(zip(reversed(METRIC_COLUMNS), [*values, t])))
-    path = tmp_path / "metrics.csv"
-    with harness.csv_writer(path, METRIC_COLUMNS) as write_row:
+            metric_rows.append(dict(zip(reversed(METRIC_COLUMNS), [*values, t])))
+    cells = ("", "U-Social", "PASS", "FAIL", 7, -3, True, False, np.float64(0.1), np.float32(0.1))
+    cells += (np.int64(12), 2.5, -0.0, 1.0 / 3.0)
+    summary_rows = [
+        {c: cells[(i + k) % len(cells)] for k, c in enumerate(SUMMARY_COLUMNS)}
+        for i in range(len(cells))
+    ]
+    for name, columns, rows in (
+        ("metrics.csv", METRIC_COLUMNS, metric_rows),
+        ("summary.csv", SUMMARY_COLUMNS, summary_rows),
+    ):
+        path = tmp_path / name
+        harness.write_csv(path, columns, rows)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(columns)
         for row in rows:
-            write_row(row)
-    want = io.StringIO(newline="")
-    writer = csv.writer(want)
-    writer.writerow(METRIC_COLUMNS)
-    for row in rows:
-        writer.writerow([harness._fmt(row[c]) for c in METRIC_COLUMNS])
-    assert path.read_bytes() == want.getvalue().encode()
+            writer.writerow([_reference_field(row[c]) for c in columns])
+        assert path.read_bytes() == want.getvalue().encode()
 
 
 def test_run_experiment_snapshots_once_per_row(tmp_path, monkeypatch):
@@ -556,8 +588,6 @@ def test_verify_averaged_gap_ignores_cadence(tmp_path):
     gaps = []
     for cadence in (1, 7):
         cfg = ExperimentConfig(
-            m=m,
-            n=n,
             horizon=300,
             instance="file",
             matrix_path=str(path),
