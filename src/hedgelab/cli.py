@@ -3,8 +3,8 @@
 Exit codes: 0 on success (and all-PASS for verify/matrix-check), 1 when any
 verification check fails or matrix-check finds the file invalid, 2 on usage
 or configuration errors. Any other command given bad input, such as action
-counts below 2 or a missing or malformed --matrix-file, prints one
-"error: ..." line and exits 2.
+counts below 2, a missing or malformed --matrix-file or a size whose arrays
+cannot be allocated, prints one "error: ..." line and exits 2.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # Every hedgelab.errors class is a ValueError; OSError covers unreadable files.
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # hedgelab.errors are ValueErrors, OSError an unreadable file, MemoryError a huge size.
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

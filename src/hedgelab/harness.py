@@ -9,7 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -258,8 +258,8 @@ def write_csv(path, columns, rows) -> None:
 
 
 def plan_matches(cfg: ExperimentConfig, payoffs: PayoffMatrix):
-    """Each configured preset's (preset, rates, target metric, bound), all
-    worked out before any match is played, so a size some preset cannot
+    """Each configured preset's (preset, game, rates, target metric, bound),
+    all worked out before any match is played, so a size some preset cannot
     take fails before any file is written. The averaged dynamic is held to
     max_dreg, which has a bound only for the social presets."""
     m, n = payoffs.m, payoffs.n
@@ -272,33 +272,31 @@ def plan_matches(cfg: ExperimentConfig, payoffs: PayoffMatrix):
             target, bound = "max_dreg", theoretical_upper(preset, m, n, cfg.horizon)
         else:
             target, bound = "max_dreg", ""
-        plan.append((preset, rp, target, bound))
+        plan.append((preset, payoffs, rp, target, bound))
     return plan
 
 
-def _measured(row: dict, target: str) -> float:
-    """A final metric row's value of a planned target metric."""
-    return max(row["dreg_x"], row["dreg_y"]) if target == "max_dreg" else row[target]
+def play_matches(cfg: ExperimentConfig, matches, out=None) -> list:
+    """Play each (preset, game, rates, target metric, bound) entry under cfg,
+    pulling the next only once the last is played; with `out`, stream each
+    match's rows every cfg.cadence rounds to out/metrics_<preset>.csv. Keeps
+    only each match's SUMMARY_COLUMNS row and its worst_scaled_pair_gap."""
+    played = []
+    for preset, game, rp, target, bound in matches:
+        sink = csv_writer(out / f"metrics_{preset}.csv", METRIC_COLUMNS) if out else nullcontext()
+        with sink as write_row:
+            last, meter = run_metered(game, cfg.algorithm, rp, cfg.horizon, write_row, cfg.cadence)
+        measured = max(last["dreg_x"], last["dreg_y"]) if target == "max_dreg" else last[target]
+        row = {"preset": preset, "target_metric": target, "measured_target": measured}
+        played.append(({**row, "theoretical_upper": bound, **last}, meter.worst_scaled_pair_gap))
+    return played
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Play the planned matches, stream each one's metric rows to its CSV,
     write a summary CSV, and return the summary rows."""
-    payoffs = instance_matrix(cfg)
     out = Path(cfg.out_dir)
-    summary = []
-    for preset, rp, target, bound in plan_matches(cfg, payoffs):
-        with csv_writer(out / f"metrics_{preset}.csv", METRIC_COLUMNS) as write_row:
-            final, _ = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon, write_row, cfg.cadence)
-        summary.append(
-            {
-                "preset": preset,
-                "target_metric": target,
-                "measured_target": _measured(final, target),
-                "theoretical_upper": bound,
-                **final,
-            }
-        )
+    summary = [row for row, _ in play_matches(cfg, plan_matches(cfg, instance_matrix(cfg)), out)]
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary)
     return summary
 
@@ -392,23 +390,25 @@ def verify_bounds(cfg: ExperimentConfig):
         floor_of, floor_metric = dynamic_regret_lower_bound, "dreg_x"
     else:
         floor_of, floor_metric = external_regret_lower_bound, "reg_x"
-    plan = []
-    for preset, rp, target, bound in plan_matches(cfg, payoffs):
-        gaps = _gap_constants(preset, m, n) if averaged else ()
-        plan.append((preset, rp, target, bound, floor_of(m, rp.eta_x, cfg.horizon), gaps))
+    plan = plan_matches(cfg, payoffs)
+    floors = [floor_of(m, rp.eta_x, cfg.horizon) for _, _, rp, _, _ in plan]
+    gaps = [_gap_constants(preset, m, n) if averaged else () for preset, *_ in plan]
+
+    def matches():
+        for (preset, game, rp, target, bound), floor in zip(plan, floors):
+            yield preset, game, rp, target, bound
+            yield preset, adversarial_matrix(m, n, floor.delta_star), rp, floor_metric, floor.value
+
+    played = play_matches(cfg, matches())
     checks = []
-    for preset, rp, target, bound, floor, gaps in plan:
-        row, meter = run_metered(payoffs, cfg.algorithm, rp, cfg.horizon)
-        measured = _measured(row, target)
-        checks.append(
-            CheckResult(f"upper[{target}]", preset, measured, bound, "<=", measured <= bound)
-        )
-        tuned = adversarial_matrix(m, n, floor.delta_star)
-        lb = run_metered(tuned, cfg.algorithm, rp, cfg.horizon)[0][floor_metric]
-        passed = lb >= floor.value - LOWER_SLACK
-        checks.append(CheckResult(f"lower[{floor_metric}]", preset, lb, floor.value, ">=", passed))
-        worst = meter.worst_scaled_pair_gap
-        for label, const in gaps:
+    for (upper, worst), (lower, _), constants in zip(played[::2], played[1::2], gaps):
+        preset = upper["preset"]
+        for kind, row, relation in (("upper", upper, "<="), ("lower", lower, ">=")):
+            measured, bound = row["measured_target"], row["theoretical_upper"]
+            passed = measured <= bound if kind == "upper" else measured >= bound - LOWER_SLACK
+            check = f"{kind}[{row['target_metric']}]"
+            checks.append(CheckResult(check, preset, measured, bound, relation, passed))
+        for label, const in constants:
             checks.append(CheckResult(f"gap[{label}]", preset, worst, const, "<=", worst <= const))
     out = Path(cfg.out_dir)
     rows = [{**vars(c), "result": "PASS" if c.passed else "FAIL"} for c in checks]

@@ -271,6 +271,30 @@ def test_bad_action_counts_are_usage_errors(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_unallocatable_size_is_usage_error(command, exc, message, tmp_path, monkeypatch, capsys):
+    # exit 1 means a verify check failed, so a game too large to allocate
+    # exits 2 with one line; the allocation itself is faked, since whether a
+    # huge one fails at once depends on the host's overcommit mode
+    def too_large(cfg):
+        raise exc
+
+    monkeypatch.setattr(hedgelab.harness, "instance_matrix", too_large)
+    out = tmp_path / "out"
+    assert main([command, "--m", "1000000", "--n", "1000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_missing_matrix_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.txt"
     rc = main(

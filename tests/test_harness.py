@@ -405,9 +405,11 @@ def test_run_metered_zero_rounds_writes_its_t0_row():
 @pytest.mark.parametrize("algorithm", ["hedge", "averaged"])
 def test_plan_matches_holds_each_preset_to_its_bound(algorithm):
     cfg = ExperimentConfig(m=3, n=7, horizon=50, algorithm=algorithm)
-    plan = plan_matches(cfg, instance_matrix(cfg))
+    payoffs = instance_matrix(cfg)
+    plan = plan_matches(cfg, payoffs)
     assert [match[0] for match in plan] == list(cfg.presets)
-    for preset, rp, target, bound in plan:
+    for preset, game, rp, target, bound in plan:
+        assert game is payoffs
         assert rp == preset_rates(preset, 3, 7)
         if algorithm == "hedge":
             assert (target, bound) == (PRESET_TARGETS[preset], theoretical_upper(preset, 3, 7))
@@ -538,6 +540,55 @@ def test_every_planned_match_is_one_full_play_match_call(tmp_path, monkeypatch, 
     horizons.clear()
     verify_bounds(cfg)
     assert horizons == [cfg.horizon] * (2 * len(presets))
+
+
+def test_verify_builds_each_tuned_game_only_when_its_match_is_reached(tmp_path, monkeypatch):
+    # a tuned adversarial game is a dense m x n array, so it is built after
+    # the match before it has been played, never all of them up front
+    events = []
+    build, play = harness.adversarial_matrix, harness.play_match
+
+    def recorded_build(*args):
+        events.append("build")
+        return build(*args)
+
+    def recorded_play(*args):
+        events.append("play")
+        return play(*args)
+
+    monkeypatch.setattr(harness, "adversarial_matrix", recorded_build)
+    monkeypatch.setattr(harness, "play_match", recorded_play)
+    cfg = ExperimentConfig(
+        instance="matching_pennies",
+        horizon=20,
+        presets=("U-Social", "A-Social"),
+        out_dir=str(tmp_path),
+    )
+    verify_bounds(cfg)
+    assert events == ["play", "build", "play", "play", "build", "play"]
+
+
+@pytest.mark.parametrize("algorithm, presets", [("hedge", PRESETS), ("averaged", SOCIAL_PRESETS)])
+def test_verify_upper_checks_read_what_simulate_reports(tmp_path, algorithm, presets):
+    # both commands play the configured game through one executor, so each
+    # upper check is simulate's summary row, bit for bit
+    cfg = ExperimentConfig(
+        m=3,
+        n=7,
+        horizon=60,
+        presets=presets,
+        algorithm=algorithm,
+        cadence=7,
+        out_dir=str(tmp_path),
+    )
+    summary = run_experiment(cfg)
+    upper = [c for c in verify_bounds(cfg) if c.check.startswith("upper[")]
+    assert [(c.preset, c.check) for c in upper] == [
+        (row["preset"], f"upper[{row['target_metric']}]") for row in summary
+    ]
+    for c, row in zip(upper, summary):
+        assert c.measured.hex() == row["measured_target"].hex()
+        assert c.bound.hex() == row["theoretical_upper"].hex()
 
 
 def test_verify_report_is_recomputable(tmp_path):

@@ -226,6 +226,53 @@ def test_package_exports_are_its_imports():
     assert imported == set(hedgelab.__all__)
 
 
+def callers_of(source: str, name: str):
+    """Names of the functions in `source` whose own body (not a nested
+    function's) calls `name`, plain or as an attribute; "<module>" for a
+    call outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and name_of(child.func) == name:
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_caller_finder():
+    source = (
+        "from .harness import run_metered\n"
+        "x = run_metered()\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return harness.run_metered(1)\n"
+        "    return g\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        return [run_metered(i) for i in range(2)]\n"
+        "def unrelated():\n"
+        "    return run_metered\n"
+    )
+    assert callers_of(source, "run_metered") == {"<module>", "g", "h"}
+
+
+def test_one_function_plays_every_planned_match():
+    # play_matches is the one executor: batching or workers change it alone,
+    # not a loop of their own around run_metered
+    callers = {
+        (path.name, caller)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for caller in callers_of(path.read_text(), "run_metered")
+    }
+    assert callers == {("harness.py", "play_matches")}
+
+
 # Per-round code reads extremes with learners.top/bottom and sums with
 # np.add.reduce; each of these forms costs a ufunc reduce (or a temporary).
 SLOW_METHODS = {"max", "min", "sum"}
